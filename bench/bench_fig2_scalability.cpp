@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   const campaign::Aggregate agg = campaign::Aggregate::build(
       result.records, spec.metric, result.functional);
 
-  for (const std::string& model : {"resnet50", "vgg16"}) {
-    for (const std::string& gbps : {"10", "56"}) {
+  for (const std::string model : {"resnet50", "vgg16"}) {
+    for (const std::string gbps : {"10", "56"}) {
       common::Table table("Figure 2 — speedup vs workers: " + model + ", " +
                           gbps + " Gbps");
       std::vector<std::string> header = {"# workers"};

@@ -170,7 +170,9 @@ class Network {
 
   runtime::SimEngine& engine_;
   ClusterSpec spec_;
-  std::vector<Endpoint> endpoints_;
+  // A deque, not a vector: growing it never relocates endpoints, whose
+  // queues would otherwise be copied (std::deque's move can throw).
+  std::deque<Endpoint> endpoints_;
   std::vector<double> tx_busy_;     // per machine
   std::vector<double> rx_busy_;     // per machine
   std::vector<double> bus_busy_;    // per machine (intra-machine transfers)

@@ -27,6 +27,67 @@ struct __cxa_eh_globals {
 };
 extern "C" __cxa_eh_globals* __cxa_get_globals() noexcept;
 }  // namespace __cxxabiv1
+
+// Fiber switch. dt_fiber_switch pushes the SysV callee-saved state — rbp,
+// rbx, r12-r15, MXCSR and the x87 control word — onto the current stack,
+// stores rsp in *save_sp, loads load_sp (a stack suspended the same way)
+// and pops that state: a plain call that returns on the other fiber. No
+// signal mask is touched, so unlike swapcontext it makes no syscall.
+// It returns to an address its own call did not push, so it cannot run
+// with hardware shadow stacks enabled (glibc leaves them off by default).
+//
+// dt_fiber_start is the return address of a fresh fiber's initial frame
+// (see Process::Process): it calls r13(r12), i.e. fiber_entry(this), and
+// marks the outermost frame for unwinders. fiber_entry never returns.
+extern "C" {
+void dt_fiber_switch(void** save_sp, void* load_sp);
+void dt_fiber_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl dt_fiber_switch
+  .hidden dt_fiber_switch
+  .type dt_fiber_switch, @function
+  .p2align 4
+dt_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size dt_fiber_switch, .-dt_fiber_switch
+
+  .globl dt_fiber_start
+  .hidden dt_fiber_start
+  .type dt_fiber_start, @function
+  .p2align 4
+dt_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size dt_fiber_start, .-dt_fiber_start
+  .popsection
+)");
 #endif
 
 namespace dt::runtime {
@@ -80,15 +141,36 @@ Process::Process(SimEngine* engine, int id, std::string name,
                 "SimEngine: cannot allocate a fiber stack");
   // Guard page at the low end: stacks grow downward, so a runaway frame
   // faults instead of silently scribbling over the neighbouring fiber.
-  ::mprotect(stack_base_, page, PROT_NONE);
-  ::getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
-  ctx_.uc_stack.ss_size = stack_bytes_ - page;
-  ctx_.uc_link = &engine_->sched_ctx_;
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::fiber_entry), 2,
-                static_cast<unsigned>(self >> 32),
-                static_cast<unsigned>(self & 0xFFFFFFFFu));
+  const bool guarded = ::mprotect(stack_base_, page, PROT_NONE) == 0;
+  if (!guarded) {
+    ::munmap(stack_base_, stack_bytes_);
+    stack_base_ = nullptr;
+  }
+  common::check(guarded,
+                "SimEngine: cannot install a fiber stack's guard page");
+  // Initial frame, laid out as dt_fiber_switch leaves a suspended fiber
+  // (lowest address first). The first switch in "returns" into
+  // dt_fiber_start with r12 = this and r13 = fiber_entry. The frame ends
+  // 16 bytes below the (page-aligned) stack top, so rsp is 16-byte aligned
+  // at dt_fiber_start's call, as the SysV ABI requires. The FP control
+  // state is the spawning thread's, as a new std::thread would inherit.
+  std::uint16_t x87_cw = 0;
+  std::uint32_t mxcsr = 0;
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  const std::uint64_t frame[] = {
+      x87_cw,
+      mxcsr,
+      0,                                                        // r15
+      0,                                                        // r14
+      reinterpret_cast<std::uint64_t>(&Process::fiber_entry),  // r13
+      reinterpret_cast<std::uint64_t>(this),                   // r12
+      0,                                                        // rbx
+      0,                                                        // rbp
+      reinterpret_cast<std::uint64_t>(&dt_fiber_start),        // return
+  };
+  sp_ = static_cast<char*>(stack_base_) + stack_bytes_ - 16 - sizeof frame;
+  std::memcpy(sp_, frame, sizeof frame);
 }
 
 Process::~Process() {
@@ -226,11 +308,7 @@ void Process::wait_event_until(double at) {
 double Process::now() const noexcept { return engine_->now_; }
 
 #if DT_SIM_FIBERS
-void Process::fiber_entry(unsigned hi, unsigned lo) {
-  const std::uintptr_t bits =
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Process*>(bits)->context_main();
-}
+void Process::fiber_entry(Process* self) { self->context_main(); }
 #endif
 
 // ---- SimEngine ------------------------------------------------------------------
@@ -385,21 +463,21 @@ bool SimEngine::try_self_resume_locked(Process& p) {
 void SimEngine::suspend(SchedLock&, Process& from, Process* to) {
   eh_save(from.eh_state_);
   eh_load(to != nullptr ? to->eh_state_ : sched_eh_state_);
-  ::swapcontext(&from.ctx_, to != nullptr ? &to->ctx_ : &sched_ctx_);
+  dt_fiber_switch(&from.sp_, to != nullptr ? to->sp_ : sched_sp_);
   // Resumed: whoever switched here restored our eh_state_ first.
 }
 
 void SimEngine::dispatch(SchedLock&, Process& to) {
   eh_save(sched_eh_state_);
   eh_load(to.eh_state_);
-  ::swapcontext(&sched_ctx_, &to.ctx_);
+  dt_fiber_switch(&sched_sp_, to.sp_);
   // Control only returns here once some process set running_ = nullptr.
 }
 
 void SimEngine::transfer_from_finished(Process& from, Process* to) {
   eh_save(from.eh_state_);  // discarded; keeps the switch protocol uniform
   eh_load(to != nullptr ? to->eh_state_ : sched_eh_state_);
-  ::swapcontext(&from.ctx_, to != nullptr ? &to->ctx_ : &sched_ctx_);
+  dt_fiber_switch(&from.sp_, to != nullptr ? to->sp_ : sched_sp_);
   // Never reached: a done process is not resumed.
 }
 

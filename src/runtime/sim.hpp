@@ -21,20 +21,22 @@
 // (sift-up); liveness is an O(1) counter of unfinished non-daemon
 // processes; peak_ready is the high-water mark of the heap size.
 //
-// Execution backend: on plain Linux builds each process is a ucontext
-// fiber — all processes share the OS thread that called run(), and a
-// context switch is a ~100ns swapcontext instead of a multi-microsecond
-// futex round trip. Each fiber gets its own guard-paged stack and its own
-// saved C++ exception-handling state (an in-flight exception in one fiber
-// is invisible to the others). Under ASan/TSan — which cannot follow raw
-// stack switches — the engine falls back to one std::thread per process
-// with per-process condition variables. BOTH backends take scheduling
-// decisions from the same heap, so simulated output is bit-identical
-// across them. Two shortcuts keep the hot path lean without changing the
-// schedule: a yielding process hands the baton DIRECTLY to the next ready
-// process (the engine context only wakes on failure, completion, or
-// deadlock), and a process that is still the earliest event after yielding
-// simply keeps running with no switch at all.
+// Execution backend: on x86-64 Linux each process is a fiber — all
+// processes share the OS thread that called run(), and a context switch is
+// a register-only stack swap (callee-saved registers, MXCSR and the x87
+// control word; no syscall) instead of a multi-microsecond futex round
+// trip. Each fiber gets its own guard-paged stack, its own floating-point
+// control state and its own saved C++ exception-handling state (an
+// in-flight exception in one fiber is invisible to the others). On other
+// targets, and under ASan/TSan — which cannot follow raw stack switches —
+// the engine uses one std::thread per process with per-process condition
+// variables. BOTH backends take scheduling decisions from the same heap,
+// so simulated output is bit-identical across them. Two shortcuts keep the
+// hot path lean without changing the schedule: a yielding process hands
+// the baton DIRECTLY to the next ready process (the engine context only
+// wakes on failure, completion, or deadlock), and a process that is still
+// the earliest event after yielding simply keeps running with no switch at
+// all.
 //
 // Compute offload (advance_compute): the *virtual* schedule stays strictly
 // sequential, but the *real* numerics of a modeled busy interval may run on
@@ -44,9 +46,10 @@
 // bit-for-bit identical to compute_threads=1 (see docs/performance.md).
 #pragma once
 
-// Backend selection: DT_SIM_FIBERS=1 (ucontext fibers) on Linux, unless a
+// Backend selection: DT_SIM_FIBERS=1 (fibers) on x86-64 Linux, unless a
 // sanitizer that tracks stacks is active or the build overrides it with
-// -DDT_SIM_FIBERS=0.
+// -DDT_SIM_FIBERS=0. The fiber switch is x86-64 assembly, so other targets
+// always use the thread backend.
 #if !defined(DT_SIM_FIBERS)
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define DT_SIM_FIBERS 0
@@ -57,11 +60,14 @@
 #endif
 #endif
 #if !defined(DT_SIM_FIBERS)
-#if defined(__linux__)
+#if defined(__linux__) && defined(__x86_64__)
 #define DT_SIM_FIBERS 1
 #else
 #define DT_SIM_FIBERS 0
 #endif
+#endif
+#if DT_SIM_FIBERS && !(defined(__linux__) && defined(__x86_64__))
+#error "DT_SIM_FIBERS=1 needs x86-64 Linux; build with -DDT_SIM_FIBERS=0"
 #endif
 
 #include <condition_variable>
@@ -73,10 +79,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#if DT_SIM_FIBERS
-#include <ucontext.h>
-#endif
 
 #include "runtime/thread_pool.hpp"
 
@@ -160,10 +162,12 @@ class Process {
           std::function<void(Process&)> body, bool daemon);
 
   // Entry point of the execution context: runs body_, records failures,
-  // then finishes. In fiber mode this is the makecontext target.
+  // then finishes.
   void context_main();
 #if DT_SIM_FIBERS
-  static void fiber_entry(unsigned hi, unsigned lo);
+  // First-entry target of a fiber (called from the start trampoline that
+  // the constructor's initial frame returns into). Never returns.
+  static void fiber_entry(Process* self);
 #endif
 
   // Marks this process done, updates the live counter / failure latch, and
@@ -186,7 +190,8 @@ class Process {
   std::exception_ptr failure_;
 
 #if DT_SIM_FIBERS
-  ucontext_t ctx_;                // suspension point (entry before start)
+  void* sp_ = nullptr;            // saved stack pointer (initial frame
+                                  // before the first switch in)
   void* stack_base_ = nullptr;    // mmap'd stack, guard page at low end
   std::size_t stack_bytes_ = 0;   // total mapping size incl. guard
   detail::EhState eh_state_;      // saved exception-handling globals
@@ -315,7 +320,7 @@ class SimEngine {
   std::unique_ptr<ThreadPool> pool_;
 
 #if DT_SIM_FIBERS
-  ucontext_t sched_ctx_;          // engine context (run() / kill drivers)
+  void* sched_sp_ = nullptr;      // engine context (run() / kill drivers)
   detail::EhState sched_eh_state_;
 #else
   std::condition_variable engine_cv_;

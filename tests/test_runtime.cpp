@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -387,6 +389,114 @@ TEST(Sim, TwoThousandDaemonsShutDownPromptly) {
   EXPECT_LT(wall, 20.0) << "daemon shutdown is not prompt";
 }
 
+// ---- switch contract ----------------------------------------------------------
+// What every backend must keep per process across a switch. The fiber
+// backend saves it by hand; the thread backend gets it from the OS thread.
+
+std::string what_of(const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    return ex.what();
+  }
+}
+
+TEST(Sim, CaughtExceptionIsPerProcess) {
+  // Both processes yield from inside a catch block, so their caught
+  // exceptions are live at the same time; each must see only its own.
+  SimEngine engine;
+  std::vector<std::string> log;
+  engine.spawn("a", [&](Process& self) {
+    try {
+      throw std::runtime_error("a");
+    } catch (const std::runtime_error&) {
+      self.advance(1.0);  // b throws and catches at t=0.5
+      log.push_back("a current=" + what_of(std::current_exception()));
+      try {
+        throw;
+      } catch (const std::runtime_error& e) {
+        log.push_back(std::string("a rethrew=") + e.what());
+      }
+    }
+  });
+  engine.spawn("b", [&](Process& self) {
+    self.advance(0.5);
+    try {
+      throw std::logic_error("b");
+    } catch (const std::logic_error&) {
+      self.advance(1.0);  // a resumes at t=1 while b's exception is live
+      log.push_back("b current=" + what_of(std::current_exception()));
+    }
+    log.push_back("b uncaught=" + std::to_string(std::uncaught_exceptions()));
+  });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a current=a", "a rethrew=a",
+                                           "b current=b", "b uncaught=0"}));
+  EXPECT_EQ(std::current_exception(), nullptr);
+}
+
+TEST(Sim, RoundingModeIsPerProcess) {
+  // fesetround sets both the x87 control word (read back by fegetround)
+  // and MXCSR (used by SSE arithmetic); the quotient checks the latter.
+  const auto third = [] {
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+  };
+  const double nearest = third();
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  SimEngine engine;
+  std::vector<int> a_modes;
+  std::vector<int> b_modes;
+  std::vector<double> a_thirds;
+  std::vector<double> b_thirds;
+  engine.spawn("a", [&](Process& self) {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    for (int k = 0; k < 3; ++k) {
+      self.advance(1.0);
+      a_modes.push_back(std::fegetround());
+      a_thirds.push_back(third());
+    }
+  });
+  engine.spawn("b", [&](Process& self) {
+    for (int k = 0; k < 3; ++k) {
+      self.advance(0.5);
+      b_modes.push_back(std::fegetround());
+      b_thirds.push_back(third());
+    }
+  });
+  engine.run();
+  EXPECT_EQ(a_modes, std::vector<int>(3, FE_UPWARD));
+  EXPECT_EQ(b_modes, std::vector<int>(3, FE_TONEAREST));
+  ASSERT_EQ(a_thirds.size(), 3u);
+  for (const double t : a_thirds) EXPECT_GT(t, nearest);
+  EXPECT_EQ(b_thirds, std::vector<double>(3, nearest));
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // run()'s caller unaffected
+}
+
+[[gnu::noinline]] std::uintptr_t aligned_local_address() {
+  alignas(16) volatile unsigned char local[16] = {};
+  local[0] = 1;
+  return reinterpret_cast<std::uintptr_t>(&local[0]);
+}
+
+TEST(Sim, ProcessStackIsAlignedAtEntryAndAfterResume) {
+  SimEngine engine;
+  std::vector<std::uintptr_t> addresses;
+  for (int i = 0; i < 2; ++i) {
+    engine.spawn("p" + std::to_string(i), [&](Process& self) {
+      addresses.push_back(aligned_local_address());
+      self.advance(1.0);
+      addresses.push_back(aligned_local_address());
+      self.wait_event_until(2.0);
+      addresses.push_back(aligned_local_address());
+    });
+  }
+  engine.run();
+  ASSERT_EQ(addresses.size(), 6u);
+  for (const std::uintptr_t a : addresses) EXPECT_EQ(a % 16, 0u) << a;
+}
+
 // ---- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPool, RunsSubmittedTasks) {
@@ -469,7 +579,7 @@ TEST(Sim, AdvanceComputeEventOrderMatchesSequential) {
           self.advance_compute(0.1 * (i + 1), [&, i, k] {
             // Busy work of host-dependent duration.
             volatile double x = 0.0;
-            for (int j = 0; j < 1000 * ((i + k) % 3 + 1); ++j) x += j;
+            for (int j = 0; j < 1000 * ((i + k) % 3 + 1); ++j) x = x + j;
             (void)x;
           });
           std::lock_guard<std::mutex> lock(mu);
