@@ -65,9 +65,6 @@ void Session::validate_fsdp() const {
                   fault_plan.sync_policy() == faults::SyncPolicy::drop),
                 "Session: FSDP crashes support sync_policy=stall only (a "
                 "dropped rank would orphan its parameter shard)");
-  common::check(!cfg.reliability.engaged(cfg.faults),
-                "Session: reliability (message faults / replicate_ps) is "
-                "supported for the centralized algorithms only");
 }
 
 void Session::validate_reliability() const {
@@ -79,9 +76,6 @@ void Session::validate_reliability() const {
   common::check(is_centralized(cfg.algo),
                 "Session: reliability (message faults / replicate_ps) is "
                 "supported for the centralized algorithms only");
-  common::check(!cfg.opt.dgc && cfg.opt.qsgd_bits == 0,
-                "Session: reliability modes are incompatible with gradient "
-                "compression (DGC/QSGD)");
   common::check(!cfg.opt.wait_free_bp,
                 "Session: reliability modes are incompatible with wait-free "
                 "BP (acked sends would serialize the backward pass)");

@@ -99,10 +99,9 @@ Tensor ShardState::take_accumulated(std::size_t local) {
   return out;
 }
 
-void ShardState::stage_dense(std::size_t local, int rank,
-                             std::span<const float> grad) {
+Tensor& ShardState::stage_slot(std::size_t local, int rank) {
   check_local(local);
-  common::check(rank >= 0, "ShardState::stage_dense: negative rank");
+  common::check(rank >= 0, "ShardState: negative staging rank");
   if (staged_.empty()) {
     staged_.resize(params_.size());
     staged_set_.resize(params_.size());
@@ -114,12 +113,31 @@ void ShardState::stage_dense(std::size_t local, int rank,
     stage.resize(r + 1);
     set.resize(r + 1, 0);
   }
+  // Idempotent overwrite on a duplicate delivery.
+  stage[r] = Tensor(params_[local].shape());
+  set[r] = 1;
+  return stage[r];
+}
+
+void ShardState::stage_dense(std::size_t local, int rank,
+                             std::span<const float> grad) {
+  check_local(local);
   common::check(grad.size() == params_[local].data().size(),
                 "ShardState::stage_dense: size mismatch");
-  Tensor t(params_[local].shape());
+  Tensor& t = stage_slot(local, rank);
   std::copy(grad.begin(), grad.end(), t.data().begin());
-  stage[r] = std::move(t);  // idempotent overwrite on duplicate delivery
-  set[r] = 1;
+}
+
+void ShardState::stage_sparse(std::size_t local, int rank,
+                              std::span<const std::uint32_t> indices,
+                              std::span<const float> values) {
+  common::check(indices.size() == values.size(),
+                "ShardState::stage_sparse: ragged input");
+  auto d = stage_slot(local, rank).data();
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    common::check(indices[j] < d.size(), "ShardState: sparse index range");
+    d[indices[j]] += values[j];
+  }
 }
 
 std::size_t ShardState::staged_count(std::size_t local) const {

@@ -80,6 +80,10 @@ class ShardState {
   /// result is independent of arrival order and a failover run's
   /// parameters match a no-crash run's bit for bit.
   void stage_dense(std::size_t local, int rank, std::span<const float> grad);
+  /// Same with a sparse (DGC) contribution, scattered into a dense stage.
+  void stage_sparse(std::size_t local, int rank,
+                    std::span<const std::uint32_t> indices,
+                    std::span<const float> values);
   [[nodiscard]] std::size_t staged_count(std::size_t local) const;
   /// Rank-order sum of every staged contribution; clears the stage.
   [[nodiscard]] tensor::Tensor take_staged_sum(std::size_t local);
@@ -91,6 +95,8 @@ class ShardState {
 
  private:
   void check_local(std::size_t local) const;
+  /// The staging buffer of (local, rank), zeroed and marked present.
+  tensor::Tensor& stage_slot(std::size_t local, int rank);
 
   int shard_;
   std::vector<std::size_t> slots_;
