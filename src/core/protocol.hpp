@@ -9,9 +9,6 @@
 // Decentralized algorithms exchange whole-model packets peer-to-peer.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "net/packet.hpp"
 
 namespace dt::core {
@@ -61,23 +58,13 @@ enum Tag : int {
 ///   a = sender worker rank (or shard id in replies)
 ///   b = slot index (per-slot packets) or bucket index
 ///   c = iteration / staleness clock of the sender
-///   d = per-rank exchange round id (reliable/replicated PS runs): pushes
-///       carry the sender's monotonic round so the shard can apply each
-///       exchange exactly once across retransmissions and failover;
-///       replies echo it so workers can drop stale/duplicate replies.
-///       0 elsewhere. (Packet.rel_seq below d is owned by the transport.)
+///   d = per-rank exchange round id (centralized pushes and pulls): on the
+///       reliable transport shards use it to apply each exchange exactly
+///       once across retransmissions and failover, and replies echo it so
+///       workers can drop stale/duplicate replies; the plain network
+///       ignores it. (Packet.rel_seq below d is owned by the transport.)
 ///   x = learning rate in effect at the sender (centralized pushes),
 ///       gossip weight (GoSGD), or — on kTagParams replies from the DSSP
 ///       controller shard — the staleness bound granted to the receiver
-
-/// Gathers `slots[i]`-indexed tensors from a full slot-ordered vector.
-inline std::vector<tensor::Tensor> select_slots(
-    const std::vector<tensor::Tensor>& all,
-    const std::vector<std::size_t>& slots) {
-  std::vector<tensor::Tensor> out;
-  out.reserve(slots.size());
-  for (std::size_t s : slots) out.push_back(all.at(s));
-  return out;
-}
 
 }  // namespace dt::core

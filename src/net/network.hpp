@@ -102,7 +102,6 @@ class Network {
   }
   [[nodiscard]] const ClusterSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
   /// Attaches a metric registry: every send updates traffic counters
   /// (`net.bytes_total`/`net.messages_total` by scope, per-machine

@@ -149,15 +149,6 @@ Packet ReliableTransport::recv_deadline(runtime::Process& self, int ep,
   }
 }
 
-std::optional<Packet> ReliableTransport::try_recv(runtime::Process& self,
-                                                  int ep, int tag) {
-  // Absorb everything already delivered, then look at the ready buffer.
-  while (auto raw = net_.try_recv(self, ep, kAnyTag)) {
-    handle_raw(self, ep, std::move(*raw));
-  }
-  return pop_ready(ep, tag);
-}
-
 void ReliableTransport::set_deaf(int ep) { state(ep).deaf = true; }
 
 std::vector<Packet> ReliableTransport::drain_ready(int ep) {

@@ -99,10 +99,6 @@ class ReliableTransport {
   Packet recv_deadline(runtime::Process& self, int ep, int tag,
                        double deadline);
 
-  /// Non-blocking receive over already-delivered traffic.
-  std::optional<Packet> try_recv(runtime::Process& self, int ep,
-                                 int tag = kAnyTag);
-
   /// Fail-stop death of `ep`'s owner: from now on, arriving data packets
   /// are silently dropped (never acked — senders will time out), while
   /// acks for `ep`'s own in-progress sends are still consumed so a dying

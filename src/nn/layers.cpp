@@ -332,39 +332,6 @@ const Tensor& Dropout::backward(const Tensor& grad_output) {
   return grad_in_;
 }
 
-// ---- GlobalAvgPool -------------------------------------------------------------
-
-const Tensor& GlobalAvgPool::forward(const Tensor& input) {
-  common::check(input.rank() == 4, "GlobalAvgPool: input not 4-D");
-  input_shape_ = input.shape();
-  const std::int64_t n = input.dim(0), c = input.dim(1),
-                     hw = input.dim(2) * input.dim(3);
-  output_.ensure_shape({n, c});
-  const float* in = input.data().data();
-  const float inv = 1.0f / static_cast<float>(hw);
-  for (std::int64_t i = 0; i < n * c; ++i) {
-    double acc = 0.0;
-    for (std::int64_t j = 0; j < hw; ++j) acc += in[i * hw + j];
-    output_[static_cast<std::size_t>(i)] = static_cast<float>(acc) * inv;
-  }
-  return output_;
-}
-
-const Tensor& GlobalAvgPool::backward(const Tensor& grad_output) {
-  common::check(grad_output.shape() == output_.shape(),
-                "GlobalAvgPool: bad grad shape");
-  grad_in_.ensure_shape(input_shape_);
-  const std::int64_t n = input_shape_[0], c = input_shape_[1],
-                     hw = input_shape_[2] * input_shape_[3];
-  float* gi = grad_in_.data().data();
-  const float inv = 1.0f / static_cast<float>(hw);
-  for (std::int64_t i = 0; i < n * c; ++i) {
-    const float g = grad_output[static_cast<std::size_t>(i)] * inv;
-    for (std::int64_t j = 0; j < hw; ++j) gi[i * hw + j] = g;
-  }
-  return grad_in_;
-}
-
 // ---- MaxPool2d ---------------------------------------------------------------
 
 const Tensor& MaxPool2d::forward(const Tensor& input) {

@@ -144,22 +144,6 @@ class Dropout final : public Layer {
   tensor::Tensor grad_in_;
 };
 
-/// Global average pooling: [N, C, H, W] -> [N, C].
-class GlobalAvgPool final : public Layer {
- public:
-  explicit GlobalAvgPool(std::string name = "gap") : name_(std::move(name)) {}
-
-  const tensor::Tensor& forward(const tensor::Tensor& input) override;
-  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
-  [[nodiscard]] std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-  tensor::Shape input_shape_;
-  tensor::Tensor output_;
-  tensor::Tensor grad_in_;
-};
-
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::string name = "maxpool") : name_(std::move(name)) {}

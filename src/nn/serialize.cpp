@@ -14,7 +14,6 @@ namespace dt::nn {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'D', 'T', 'C', 'K', 'P', 'T', '0', '1'};
 constexpr char kMagicV2[8] = {'D', 'T', 'C', 'K', 'P', 'T', '0', '2'};
 
 template <typename T>
@@ -128,12 +127,6 @@ void load_checkpoint(Sequential& model, std::istream& is) {
   char magic[sizeof(kMagicV2)];
   is.read(magic, sizeof(magic));
   common::check(is.good(), "checkpoint: bad magic");
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    // v1 containers carry no checksum; parse the body straight off the
-    // stream for backward compatibility.
-    read_body(model, is);
-    return;
-  }
   common::check(std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0,
                 "checkpoint: bad magic");
   std::ostringstream rest_os(std::ios::binary);

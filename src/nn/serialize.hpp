@@ -10,8 +10,7 @@
 //   u32 crc32 of everything after the magic (poly 0xEDB88320)
 // Loading verifies the checksum ("checkpoint: bad checksum" on corruption)
 // and names/shapes against the target model (checkpoints are not
-// containers for arbitrary reshaping). Legacy "DTCKPT01" containers (no
-// checksum footer) still load.
+// containers for arbitrary reshaping).
 #pragma once
 
 #include <iosfwd>

@@ -418,19 +418,6 @@ TEST(Dropout, InvalidProbabilityThrows) {
   EXPECT_THROW(Dropout("d", -0.1f), common::Error);
 }
 
-TEST(GlobalAvgPool, AveragesSpatialDims) {
-  GlobalAvgPool gap;
-  Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
-  const Tensor& y = gap.forward(x);
-  EXPECT_EQ(y.shape(), (tensor::Shape{1, 2}));
-  EXPECT_FLOAT_EQ(y.at(0, 0), 2.5f);
-  EXPECT_FLOAT_EQ(y.at(0, 1), 25.0f);
-  Tensor gout({1, 2}, {4.0f, 8.0f});
-  Tensor gin = gap.backward(gout);
-  EXPECT_FLOAT_EQ(gin[0], 1.0f);   // 4 / 4 spatial positions
-  EXPECT_FLOAT_EQ(gin[4], 2.0f);
-}
-
 TEST(Sequential, SetTrainingPropagates) {
   Sequential m;
   m.add<Dense>("fc", 4, 8);
@@ -661,30 +648,6 @@ TEST(Serialize, DetectsSingleFlippedByte) {
     EXPECT_NE(std::string(e.what()).find("checkpoint: bad checksum"),
               std::string::npos)
         << e.what();
-  }
-}
-
-TEST(Serialize, LoadsLegacyV1Container) {
-  common::Rng rng(46);
-  Sequential a;
-  a.add<Dense>("fc", 3, 2);
-  a.init(rng);
-  std::stringstream buf;
-  save_checkpoint(a, buf);
-  // Rewrite the v2 container as v1: old magic, no CRC footer.
-  std::string bytes = buf.str();
-  std::string v1 = "DTCKPT01" + bytes.substr(8, bytes.size() - 8 - 4);
-  std::stringstream legacy(v1);
-  Sequential b;
-  b.add<Dense>("fc", 3, 2);
-  load_checkpoint(b, legacy);
-  const auto pa = a.snapshot();
-  const auto pb = b.snapshot();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (std::int64_t j = 0; j < pa[i].numel(); ++j) {
-      EXPECT_EQ(pa[i][static_cast<std::size_t>(j)],
-                pb[i][static_cast<std::size_t>(j)]);
-    }
   }
 }
 

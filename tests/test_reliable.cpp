@@ -288,23 +288,87 @@ RunArtifacts reliable_run(TrainConfig cfg, int threads,
   return out;
 }
 
+enum class Compression { none, qsgd, dgc };
+
+void set_compression(TrainConfig& cfg, Compression c) {
+  cfg.opt.dgc = c == Compression::dgc;
+  cfg.opt.qsgd_bits = c == Compression::qsgd ? 4 : 0;
+}
+
 TEST(PsFailover, BspCrashedPrimaryParamsMatchNoCrashRun) {
   // A replicated BSP run whose shard-0 primary fail-stops mid-run must
   // produce bitwise-identical parameters to the same config without the
   // crash: transport-acked pushes are applied + mirrored before the
   // primary goes silent, the backup stages per-rank contributions
-  // idempotently, and round sums are taken in canonical rank order.
-  TrainConfig base = reliable_config(Algo::bsp);
-  const RunArtifacts clean = reliable_run(base, 1, "bsp_clean");
+  // idempotently, and round sums are taken in canonical rank order. With
+  // compression, the failover re-push re-sends the round's already-built
+  // packets (no second compress() or quantize draw), and sparse DGC
+  // contributions are staged per rank too. The 0.62 crash point lands
+  // between acked pushes and their replies, so workers take the
+  // failover re-push path there.
+  for (Compression c :
+       {Compression::none, Compression::qsgd, Compression::dgc}) {
+    for (double at : {0.4, 0.62}) {
+      const std::string tag = "bsp" + std::to_string(static_cast<int>(c)) +
+                              "_" + std::to_string(at);
+      SCOPED_TRACE(tag);
+      TrainConfig base = reliable_config(Algo::bsp);
+      set_compression(base, c);
+      const RunArtifacts clean = reliable_run(base, 1, tag + "_clean");
 
-  TrainConfig crashed = base;
-  crashed.faults.ps_crashes = {{0, 0.4 * clean.virtual_duration}};
-  const RunArtifacts failed = reliable_run(crashed, 1, "bsp_crash");
+      TrainConfig crashed = base;
+      crashed.faults.ps_crashes = {{0, at * clean.virtual_duration}};
+      const RunArtifacts failed = reliable_run(crashed, 1, tag + "_crash");
 
-  EXPECT_EQ(failed.failovers, 1.0);
-  EXPECT_EQ(clean.failovers, 0.0);
-  EXPECT_EQ(failed.params, clean.params);
-  EXPECT_EQ(failed.final_accuracy, clean.final_accuracy);
+      EXPECT_EQ(failed.failovers, 1.0);
+      EXPECT_EQ(clean.failovers, 0.0);
+      EXPECT_EQ(failed.params, clean.params);
+      EXPECT_EQ(failed.final_accuracy, clean.final_accuracy);
+    }
+  }
+}
+
+TEST(PsFailover, LossyCompressedAsyncPushesApplyExactlyOnce) {
+  // ASP and SSP with DGC over a lossy, duplicating, reordering wire and a
+  // shard-0 failover: every worker push is applied exactly once (the
+  // staleness probe observes each apply at the endpoint the worker
+  // pushed to, never a mirror or a deduped retransmission), and the run
+  // is byte-identical between sequential and 8-thread offloaded compute.
+  for (Algo algo : {Algo::asp, Algo::ssp}) {
+    const std::string tag = std::string(algo_name(algo)) + "_dgc";
+    SCOPED_TRACE(tag);
+    TrainConfig cfg = reliable_config(algo);
+    set_compression(cfg, Compression::dgc);
+    {
+      TrainConfig probe = cfg;
+      Workload wl = small_workload();
+      const double d = run_training(probe, wl).virtual_duration;
+      cfg.faults.ps_crashes = {{0, 0.4 * d}};
+    }
+    cfg.faults.msg.loss_prob = 0.05;
+    cfg.faults.msg.dup_prob = 0.05;
+    cfg.faults.msg.reorder_prob = 0.1;
+    cfg.faults.msg.reorder_window = 0.002;
+
+    Workload wl = small_workload();
+    const auto result = run_training(cfg, wl);
+    const metrics::MetricValue* applied = result.metrics.find(
+        "staleness.updates", {{"algo", algo_name(algo)}});
+    ASSERT_NE(applied, nullptr);
+    const auto worker_pushes = static_cast<std::uint64_t>(
+        result.total_iterations * static_cast<std::int64_t>(wl.num_slots()));
+    EXPECT_EQ(applied->count, worker_pushes);
+    EXPECT_EQ(result.metrics.total("ps.failovers_total"), 1.0);
+    EXPECT_GT(result.metrics.total("net.retransmits_total"), 0.0);
+    EXPECT_GT(result.metrics.total("net.dup_delivered_total"), 0.0);
+
+    const RunArtifacts seq = reliable_run(cfg, 1, tag + "_t1");
+    const RunArtifacts par = reliable_run(cfg, 8, tag + "_t8");
+    EXPECT_EQ(seq.metrics_jsonl, par.metrics_jsonl);
+    EXPECT_EQ(seq.timeseries_csv, par.timeseries_csv);
+    EXPECT_EQ(seq.params, par.params);
+    EXPECT_EQ(seq.virtual_duration, par.virtual_duration);
+  }
 }
 
 TEST(PsFailover, LossyFailoverRunABIdenticalAcrossComputeThreads) {
