@@ -19,8 +19,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/trainer.hpp"
+#include "profile/critical_path.hpp"
 
 namespace dt::core {
 namespace {
@@ -180,6 +183,98 @@ TEST(Golden, CentralizedReliableRunsAreByteIdenticalToFixtures) {
     expect_matches_golden(algo, Fixture::reliable,
                           stem_of(algo, "_reliable"));
   }
+}
+
+/// One cost-only AR-SGD fixture: the metrics JSONL and the virtual duration
+/// (17 digits) always; with `observed` also the sampled time-series CSV
+/// (which carries the `net.in_flight` gauge) and the critical-path report.
+/// With DT_GOLDEN_CAPTURE set, rewrites the fixture files instead.
+void expect_cost_ring_matches_golden(TrainConfig cfg, Workload wl,
+                                     const std::string& stem, bool observed) {
+  const std::string tmp = "/tmp/dtrainlib_golden_" + stem;
+  cfg.metrics_jsonl = tmp + ".jsonl";
+  if (observed) cfg.timeseries_csv = tmp + ".csv";
+  const auto result = run_training(cfg, wl);
+
+  std::ostringstream vd;
+  vd.precision(17);
+  vd << "virtual_duration=" << result.virtual_duration << "\n";
+  std::vector<std::pair<std::string, std::string>> files = {
+      {".jsonl", slurp(tmp + ".jsonl")}, {".meta", vd.str()}};
+  if (observed) {
+    files.emplace_back(".csv", slurp(tmp + ".csv"));
+    EXPECT_TRUE(result.profile);
+    files.emplace_back(".report",
+                       result.profile ? profile::format_report(*result.profile)
+                                      : std::string());
+  }
+  std::remove(cfg.metrics_jsonl.c_str());
+  if (observed) std::remove(cfg.timeseries_csv.c_str());
+
+  const std::string base = std::string(DT_GOLDEN_DIR) + "/" + stem;
+  for (const auto& [ext, text] : files) {
+    if (std::getenv("DT_GOLDEN_CAPTURE") != nullptr) {
+      std::ofstream(base + ext, std::ios::binary) << text;
+    } else {
+      EXPECT_EQ(text, slurp(base + ext)) << stem << ext
+                                         << " deviates from the fixture";
+    }
+  }
+}
+
+/// Cost-only AR-SGD configuration shared by the ring fixtures.
+TrainConfig cost_ring_config(int workers, int per_machine, bool wait_free) {
+  TrainConfig cfg;
+  cfg.algo = Algo::arsgd;
+  cfg.num_workers = workers;
+  cfg.cluster.workers_per_machine = per_machine;
+  cfg.opt.wait_free_bp = wait_free;
+  cfg.iterations = 4;
+  cfg.seed = 11;
+  return cfg;
+}
+
+TEST(Golden, CostRingPartialMachineWaitFreeIsByteIdenticalToFixture) {
+  // 13 workers at 4 per machine (the last machine holds one), four
+  // overlapping bucket rings per iteration, default compute jitter.
+  expect_cost_ring_matches_golden(
+      cost_ring_config(13, 4, true),
+      make_cost_workload(cost::resnet50_profile(), 32), "arsgd_cost_partial",
+      false);
+}
+
+TEST(Golden, CostRingTiedClocksIsByteIdenticalToFixture) {
+  // No jitter: every rank is symmetric, so virtual times tie exactly and
+  // only the engine's sequence numbers order the ring's events.
+  expect_cost_ring_matches_golden(
+      cost_ring_config(8, 2, false),
+      make_cost_workload(cost::resnet50_profile(), 32, cost::titan_v(), 0.0),
+      "arsgd_cost_tied", false);
+}
+
+TEST(Golden, CostRingFaultedProfiledRunIsByteIdenticalToFixture) {
+  // A 2x straggler, a degraded link window on machine 1, a stall-mode
+  // crash of rank 5, the profiler and the sampled time series.
+  TrainConfig cfg = cost_ring_config(16, 4, true);
+  cfg.iterations = 6;
+  cfg.faults.slow_ranks.push_back({3, 2.0});
+  faults::LinkWindow lw;
+  lw.machine = 1;
+  lw.start = 0.3;
+  lw.end = 0.9;
+  lw.bw_mult = 0.25;
+  lw.lat_mult = 4.0;
+  cfg.faults.link_windows.push_back(lw);
+  faults::Crash c;
+  c.rank = 5;
+  c.at = 0.6;
+  c.downtime = 0.35;
+  cfg.faults.crashes.push_back(c);
+  cfg.profile = true;
+  cfg.sample_period = 0.05;
+  expect_cost_ring_matches_golden(
+      cfg, make_cost_workload(cost::resnet50_profile(), 32),
+      "arsgd_cost_faults", true);
 }
 
 TEST(Golden, FsdpStages1And2MatchBspBitwise) {
