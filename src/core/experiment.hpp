@@ -66,7 +66,8 @@
 //   loss_prob = 0.0           ; seeded message faults on lossy machines
 //   dup_prob = 0.0
 //   reorder_prob = 0.0
-//   reorder_window = 0.002    ; extra delay (vseconds) for reordered packets
+//   reorder_window = 0.0      ; max extra delay (vseconds) of a reordered
+//                             ; packet; must be > 0 when reorder_prob > 0
 //   lossy_machines =          ; machine ids the faults apply to (empty = all)
 //
 //   [reliability]             ; reliable transport (docs/network-model.md)

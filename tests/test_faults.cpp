@@ -14,6 +14,8 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/ini.hpp"
+#include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "faults/faults.hpp"
 
@@ -118,6 +120,28 @@ TEST(FaultPlan, LinkMultipliersComposeAcrossEndpoints) {
   EXPECT_DOUBLE_EQ(lat, 1.0);
   // Outside every window.
   EXPECT_FALSE(plan.link_multipliers(30.0, 0, 1, &bw, &lat));
+}
+
+TEST(FaultPlan, ReorderWithoutWindowNamesTheIniKeys) {
+  // A [failures] section that sets only reorder_prob: reorder_window
+  // defaults to 0, so validation must say which key to set, and how.
+  const core::ExperimentSpec spec =
+      core::ExperimentSpec::from_ini(common::IniConfig::parse_string(
+          "[experiment]\nalgorithm = bsp\nworkers = 4\n"
+          "[failures]\nreorder_prob = 0.1\n"));
+  EXPECT_EQ(spec.config.faults.msg.reorder_window, 0.0);
+  core::Workload wl = spec.make_workload();
+  try {
+    core::Session session(spec.config, wl);
+    FAIL() << "reorder_prob without reorder_window was accepted";
+  } catch (const common::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[failures] reorder_prob > 0 needs reorder_window > 0"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("e.g. reorder_window = 0.002"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(FaultPlan, CrashLookupAndValidation) {
