@@ -30,4 +30,11 @@ inline void check(bool condition, const std::string& message,
   if (!condition) fail(message, loc);
 }
 
+/// Same for a literal message, which becomes a std::string only on failure:
+/// checks on hot paths then cost a compare, not a heap allocation.
+inline void check(bool condition, const char* message,
+                  std::source_location loc = std::source_location::current()) {
+  if (!condition) [[unlikely]] fail(message, loc);
+}
+
 }  // namespace dt::common

@@ -17,6 +17,7 @@
 #include "core/session.hpp"
 #include "metrics/metrics.hpp"
 #include "net/collectives.hpp"
+#include "net/ring_replay.hpp"
 
 namespace dt::core {
 
@@ -102,17 +103,34 @@ std::vector<Bucket> make_buckets(const Session& s, int desired) {
   return buckets;
 }
 
+bool ring_repair_active(const Session& s);
+
+/// True when AR-SGD's collectives are replayed without chunk packets
+/// (net::RingReplay): cost-only, so no payload moves; no message faults,
+/// so no chunk is lost, duplicated or reordered; and not the elastic ring,
+/// whose rounds abort and retry on view changes. Everything else keeps the
+/// message ring, the reference the replay reproduces bit for bit.
+bool ring_replay_eligible(const Session& s) {
+  return !s.wl.functional() && !s.fault_plan.has_message_faults() &&
+         !ring_repair_active(s);
+}
+
 void launch_arsgd_impl(Session& s) {
   const int n = s.cfg.num_workers;
   const float inv_n = 1.0f / static_cast<float>(n);
   const bool dgc_on = s.cfg.opt.dgc;
   const double dgc_density =
       1.0 - compress::DgcCompressor::sparsity_at(s.cfg.opt.dgc_config, 1e9);
+  std::shared_ptr<net::RingReplay> replay;
+  if (ring_replay_eligible(s)) {
+    replay = std::make_shared<net::RingReplay>(*s.network, s.worker_ep);
+  }
 
   for (int rank = 0; rank < n; ++rank) {
     s.engine.spawn(
         "worker" + std::to_string(rank),
-        [&s, rank, n, inv_n, dgc_on, dgc_density](runtime::Process& self) {
+        [&s, rank, n, inv_n, dgc_on, dgc_density,
+         replay](runtime::Process& self) {
           const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
           s.network->bind(wep, self);
           auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
@@ -122,7 +140,8 @@ void launch_arsgd_impl(Session& s) {
 
           net::Communicator comm{.net = s.network.get(),
                                  .endpoints = s.worker_ep,
-                                 .my_rank = rank};
+                                 .my_rank = rank,
+                                 .replay = replay.get()};
           const int right_ep =
               s.worker_ep[static_cast<std::size_t>((rank + 1) % n)];
 

@@ -14,12 +14,18 @@
 
 namespace dt::net {
 
+class RingReplay;
+
 /// A static group of endpoints participating in collectives. Every rank
 /// must execute the same collective calls in the same order.
 struct Communicator {
   Network* net = nullptr;
   std::vector<int> endpoints;  // rank -> endpoint id
   int my_rank = 0;
+  /// When set, ring_allreduce replays cost-only collectives instead of
+  /// sending chunk packets (net/ring_replay.hpp). Every rank's
+  /// Communicator must then point at the same replay over `endpoints`.
+  RingReplay* replay = nullptr;
 
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(endpoints.size());
@@ -34,7 +40,9 @@ struct Communicator {
 /// would send if it pushed everything at once); each ring step transfers
 /// total_wire_bytes / N. `data` may be empty (cost-only mode).
 /// `tag_base` must not collide with other traffic on these endpoints; the
-/// collective uses tags [tag_base, tag_base + 2).
+/// collective uses tags [tag_base, tag_base + 2). With `comm.replay` set,
+/// `data` must be empty and the collective is replayed without packets —
+/// same schedule, traffic and observability, bit for bit.
 void ring_allreduce(runtime::Process& self, const Communicator& comm,
                     std::span<float> data, std::uint64_t total_wire_bytes,
                     int tag_base);

@@ -141,6 +141,23 @@ double Network::model_transfer(int src_machine, int dst_machine,
   return arrival;
 }
 
+void Network::note_delivery(int src_endpoint, int dst_endpoint,
+                            std::uint64_t wire_bytes, double sent,
+                            double arrival) {
+  if (in_flight_ != nullptr) in_flight_->add(1.0);
+  if (spans_ != nullptr) {
+    spans_->on_edge(src_endpoint, dst_endpoint, wire_bytes, sent, arrival,
+                    endpoint(src_endpoint).machine !=
+                        endpoint(dst_endpoint).machine);
+  }
+  if (trace_ != nullptr) {
+    trace_->flow(endpoint_name(src_endpoint), endpoint_name(dst_endpoint),
+                 endpoint_name(src_endpoint) + "->" +
+                     endpoint_name(dst_endpoint),
+                 sent, arrival, ++flow_seq_);
+  }
+}
+
 void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
                    Packet pkt) {
   Endpoint& dst = endpoint(dst_endpoint);
@@ -196,17 +213,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
           : -1.0;
 
   const auto enqueue = [&](Packet p, double arr) {
-    if (in_flight_ != nullptr) in_flight_->add(1.0);
-    if (spans_ != nullptr) {
-      spans_->on_edge(src_endpoint, dst_endpoint, p.wire_bytes, now, arr,
-                      src_machine != dst_machine);
-    }
-    if (trace_ != nullptr) {
-      trace_->flow(endpoint_name(src_endpoint), endpoint_name(dst_endpoint),
-                   endpoint_name(src_endpoint) + "->" +
-                       endpoint_name(dst_endpoint),
-                   now, arr, ++flow_seq_);
-    }
+    note_delivery(src_endpoint, dst_endpoint, p.wire_bytes, now, arr);
     p.src_endpoint = src_endpoint;
     p.sent_at = now;
     p.arrival = arr;

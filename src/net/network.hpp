@@ -157,6 +157,10 @@ class Network {
   [[nodiscard]] std::string endpoint_name(int endpoint) const;
 
  private:
+  // Replays cost-only ring collectives through model_transfer and
+  // note_delivery, without packets (net/ring_replay.hpp).
+  friend class RingReplay;
+
   struct Endpoint {
     int machine = 0;
     std::string name;
@@ -182,6 +186,11 @@ class Network {
   /// stats and counters, and returns the arrival time.
   double model_transfer(int src_machine, int dst_machine,
                         std::uint64_t wire_bytes, double now);
+
+  /// Bookkeeping of one delivered message (after model_transfer): the
+  /// `net.in_flight` gauge, the profiler's message edge and the trace flow.
+  void note_delivery(int src_endpoint, int dst_endpoint,
+                     std::uint64_t wire_bytes, double sent, double arrival);
 
   // Observability sinks (optional; resolved once in set_metrics).
   metrics::TraceLog* trace_ = nullptr;

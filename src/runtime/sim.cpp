@@ -305,6 +305,25 @@ void Process::wait_event_until(double at) {
   }
 }
 
+void Process::resume_at(double time, std::uint64_t seq) {
+  SimEngine::SchedLock lock(engine_->mu_);
+  common::check(engine_->running_ == this,
+                "Process::resume_at called from outside the process");
+  common::check(time >= engine_->now_, "Process::resume_at: key in the past");
+  state_ = State::ready;
+  ready_time_ = time;
+  ready_seq_ = seq;
+  wakeable_ = false;
+  engine_->heap_push_locked(*this);
+  if (!engine_->try_self_resume_locked(*this)) {
+    engine_->suspend(lock, *this, engine_->pick_handoff_locked());
+  }
+  state_ = State::running;
+  if (kill_requested_) {
+    if (std::uncaught_exceptions() == 0) throw ProcessKilled{};
+  }
+}
+
 double Process::now() const noexcept { return engine_->now_; }
 
 #if DT_SIM_FIBERS
@@ -589,6 +608,21 @@ ThreadPool* SimEngine::compute_pool_or_null() {
   if (compute_threads_ <= 1) return nullptr;
   if (!pool_) pool_ = std::make_unique<ThreadPool>(compute_threads_);
   return pool_.get();
+}
+
+void SimEngine::wake_at(Process& p, double time, std::uint64_t seq) {
+  SchedLock lock(mu_);
+  common::check(running_ != nullptr && running_ != &p,
+                "SimEngine::wake_at needs a running caller and a parked target");
+  common::check(p.state_ == Process::State::blocked ||
+                    p.state_ == Process::State::ready,
+                "SimEngine::wake_at: target is neither blocked nor ready");
+  if (p.heap_index_ >= 0) heap_remove_locked(p);
+  p.state_ = Process::State::ready;
+  p.ready_time_ = time;
+  p.ready_seq_ = seq;
+  p.wakeable_ = false;
+  heap_push_locked(p);
 }
 
 void SimEngine::wake(Process& p, double at) {

@@ -146,6 +146,18 @@ class Process {
   /// flight (arrival known) yet an earlier one might still be sent.
   void wait_event_until(double at);
 
+  /// Yields and resumes at exactly the event key (time, seq): a sequence
+  /// number drawn earlier with SimEngine::draw_seq, `time` >= now. Like
+  /// advance(), the process is not wakeable meanwhile. Lets a replay that
+  /// computes events off the engine (net::RingReplay) hand the process back
+  /// at the key it would have had; if that key is still the earliest event
+  /// the process keeps running without a switch.
+  void resume_at(double time, std::uint64_t seq);
+
+  /// True while the process waits in wait_event() or wait_event_until(),
+  /// the only states in which SimEngine::wake() changes anything.
+  [[nodiscard]] bool waiting() const noexcept { return wakeable_; }
+
   /// Virtual clock (engine-wide).
   [[nodiscard]] double now() const noexcept;
 
@@ -228,6 +240,29 @@ class SimEngine {
   /// If the process is already ready, its wake-up moves earlier only
   /// (min(at, current)). Callable only from a running process.
   void wake(Process& p, double at);
+
+  /// Draws the next sequence number from the counter that advance(),
+  /// wait_event_until() and wake() draw from. A replay that stands in for
+  /// those calls draws at the same points, so every later key is unchanged.
+  std::uint64_t draw_seq() {
+    SchedLock lock(mu_);
+    return ++seq_counter_;
+  }
+
+  /// Makes `p` — blocked, or ready and not running — ready at exactly the
+  /// key (time, seq), repositioning it if it is already queued. Unlike
+  /// wake() it draws no sequence number and leaves `p` unwakeable until it
+  /// runs. Callable only from a running process.
+  void wake_at(Process& p, double time, std::uint64_t seq);
+
+  /// True when some ready process's key (time, seq) precedes the given key.
+  [[nodiscard]] bool ready_before(double time,
+                                  std::uint64_t seq) const noexcept {
+    if (heap_.empty()) return false;
+    const Process& top = *heap_.front();
+    return top.ready_time_ < time ||
+           (top.ready_time_ == time && top.ready_seq_ < seq);
+  }
 
   /// Host threads available to advance_compute(). `threads <= 1` disables
   /// offload entirely (closures run inline, reproducing the historical
