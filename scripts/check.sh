@@ -37,6 +37,14 @@
 #                                    # test_memory and the committed
 #                                    # memory/throughput frontier campaign,
 #                                    # under AddressSanitizer
+#   scripts/check.sh ring            # ring-replay smoke: the ctest label
+#                                    # `ring` (tests/test_ring_replay —
+#                                    # randomized replay vs message-ring
+#                                    # equivalence, O(N)-wakes bound)
+#                                    # and the golden suite under
+#                                    # AddressSanitizer + UBSan, then
+#                                    # bench_simcore --scale=256 from a
+#                                    # plain build (no timing gate)
 #
 # Sanitized builds go to build-<sanitizer>/ so they never pollute the plain
 # build tree.
@@ -108,6 +116,26 @@ if [[ "$SANITIZER" == "fsdp" ]]; then
   "$DIR/examples/dtrain" --validate examples/configs/fsdp_frontier.ini
   (cd "$TMP" && "$OLDPWD/$DIR/examples/dtrain" --campaign \
     "$OLDPWD/examples/configs/fsdp_frontier.ini")
+  exit 0
+fi
+
+if [[ "$SANITIZER" == "ring" ]]; then
+  # Ring-replay smoke. ASan and UBSan together (DT_SANITIZE takes one), in
+  # build-ring/; ASan selects the engine's thread backend.
+  DIR=build-ring
+  SAN="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  cmake -B "$DIR" -S . "-DCMAKE_CXX_FLAGS=$SAN -fno-omit-frame-pointer" \
+    "-DCMAKE_EXE_LINKER_FLAGS=$SAN"
+  cmake --build "$DIR" -j "$(nproc)" --target test_ring_replay test_golden
+  ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L ring
+  ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -R 'Golden'
+  # Large-N smoke of the replay at full speed; the JSON goes to a scratch
+  # file so the committed BENCH_simcore.json is left alone.
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)" --target bench_simcore
+  TMP="$(mktemp -d)"
+  trap 'rm -rf "$TMP"' EXIT
+  build/bench/bench_simcore --scale=256 --json="$TMP/simcore.json"
   exit 0
 fi
 

@@ -11,7 +11,7 @@ RingReplay::RingReplay(Network& net, std::vector<int> endpoints)
       engine_(net.engine_),
       n_(static_cast<int>(endpoints.size())),
       send_overhead_(net.spec().send_overhead) {
-  common::check(n_ > 0 && n_ < (1 << kRankBits), "RingReplay: ring size");
+  common::check(n_ > 0, "RingReplay: empty ring");
   ranks_.resize(endpoints.size());
   for (std::size_t r = 0; r < endpoints.size(); ++r) {
     ranks_[r].endpoint = endpoints[r];
@@ -58,16 +58,16 @@ void RingReplay::park(runtime::Process& self, Rank& me) {
       if (holder_ == nullptr) {
         holder_ = &self;
         holder_time_ = top.time;
-        holder_seq_ = top.seq();
-        self.resume_at(top.time, top.seq());
+        holder_seq_ = top.seq;
+        self.resume_at(top.time, top.seq);
       } else {
         // Another parked rank holds the replay. Only an entering rank gets
         // here, and it can only add earlier events: move the holder to the
         // earliest key.
-        if (holder_time_ != top.time || holder_seq_ != top.seq()) {
+        if (holder_time_ != top.time || holder_seq_ != top.seq) {
           holder_time_ = top.time;
-          holder_seq_ = top.seq();
-          engine_.wake_at(*holder_, top.time, top.seq());
+          holder_seq_ = top.seq;
+          engine_.wake_at(*holder_, top.time, top.seq);
         }
         self.wait_event();
       }
@@ -79,10 +79,10 @@ void RingReplay::park(runtime::Process& self, Rank& me) {
     if (drive(self)) {
       if (!heap_.empty()) {
         const Pending top = heap_.front();
-        holder_ = ranks_[static_cast<std::size_t>(top.rank())].proc;
+        holder_ = ranks_[static_cast<std::size_t>(top.rank)].proc;
         holder_time_ = top.time;
-        holder_seq_ = top.seq();
-        engine_.wake_at(*holder_, top.time, top.seq());
+        holder_seq_ = top.seq;
+        engine_.wake_at(*holder_, top.time, top.seq);
       }
       // The earliest event of all: continues without a switch.
       self.resume_at(exit_time_, exit_seq_);
@@ -94,23 +94,23 @@ void RingReplay::park(runtime::Process& self, Rank& me) {
 bool RingReplay::drive(runtime::Process& self) {
   while (!heap_.empty()) {
     const Pending top = heap_.front();
-    if (engine_.ready_before(top.time, top.seq())) return false;
-    Rank& r = ranks_[static_cast<std::size_t>(top.rank())];
+    if (engine_.ready_before(top.time, top.seq)) return false;
+    Rank& r = ranks_[static_cast<std::size_t>(top.rank)];
     // `r` keeps the top slot while it runs: every key it draws for others
     // is later than its own. queue() re-keys the slot; otherwise pop it.
     const bool done = run(r, top.time);
-    if (heap_.front().order == top.order) pop_top();
+    if (heap_.front().seq == top.seq) pop_top();
     if (!done) continue;
     runtime::Process* const proc = r.proc;
     r.proc = nullptr;
     if (proc == &self) {
       exit_time_ = top.time;
-      exit_seq_ = top.seq();
+      exit_seq_ = top.seq;
       return true;
     }
     // Resumes at this key before any later replayed event, which ends the
     // loop at the next check.
-    engine_.wake_at(*proc, top.time, top.seq());
+    engine_.wake_at(*proc, top.time, top.seq);
   }
   return false;
 }
@@ -133,7 +133,6 @@ bool RingReplay::run(Rank& r, double t) {
                                  [tag](const Chunk& c) { return c.tag == tag; });
     if (it == r.mailbox.end()) {
       r.blocked = true;
-      r.wakeable = true;
       return false;
     }
     // The mailbox is in arrival order, so the first chunk of the tag is
@@ -188,8 +187,8 @@ void RingReplay::send(Rank& r, double t) {
 
 void RingReplay::queue(Rank& r, double time, bool wakeable) {
   r.wakeable = wakeable;
-  const Pending p = pending(r, time);
-  const int at = slot_[static_cast<std::size_t>(rank_of(r))];
+  const Pending p{time, engine_.draw_seq(), rank_of(r)};
+  const int at = slot_[static_cast<std::size_t>(p.rank)];
   if (at >= 0) {
     // The running rank, still in the top slot: its new key is later.
     place(static_cast<std::size_t>(at), p);
@@ -219,7 +218,8 @@ void RingReplay::wake(Rank& target, const Rank& sender, double arrival) {
   const int at = slot_[static_cast<std::size_t>(rank_of(target))];
   if (at >= 0 && target.wakeable &&
       arrival < heap_[static_cast<std::size_t>(at)].time) {
-    place(static_cast<std::size_t>(at), pending(target, arrival));
+    place(static_cast<std::size_t>(at),
+          Pending{arrival, engine_.draw_seq(), rank_of(target)});
     sift_up(static_cast<std::size_t>(at));
   }
 }
@@ -227,38 +227,23 @@ void RingReplay::wake(Rank& target, const Rank& sender, double arrival) {
 // ---- pending-event heap: 4-ary, keyed by (time, seq) ----------------------
 //
 // Four children per node halve the depth of a binary heap; a replayed event
-// re-keys the top and sifts it down, so depth is what each event pays. The
-// comparisons avoid short-circuit branches, which the (time, seq) order of
-// a ring's events makes unpredictable.
+// re-keys the top and sifts it down, so depth is what each event pays.
 
-namespace {
-bool before(const double ta, const std::uint64_t oa, const double tb,
-            const std::uint64_t ob) noexcept {
-  return static_cast<bool>(static_cast<int>(ta < tb) |
-                           (static_cast<int>(ta == tb) &
-                            static_cast<int>(oa < ob)));
-}
-}  // namespace
-
-RingReplay::Pending RingReplay::pending(const Rank& r, double time) {
-  const std::uint64_t seq = engine_.draw_seq();
-  common::check(seq >> (64 - kRankBits) == 0,
-                "RingReplay: engine sequence numbers exhausted");
-  return {time, (seq << kRankBits) | static_cast<std::uint64_t>(rank_of(r))};
+bool RingReplay::before(const Pending& a, const Pending& b) noexcept {
+  return a.time < b.time || (a.time == b.time && a.seq < b.seq);
 }
 
 void RingReplay::place(std::size_t i, const Pending& p) noexcept {
   heap_[i] = p;
-  slot_[static_cast<std::size_t>(p.rank())] = static_cast<int>(i);
+  slot_[static_cast<std::size_t>(p.rank)] = static_cast<int>(i);
 }
 
 void RingReplay::sift_up(std::size_t i) {
   const Pending p = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    const Pending& q = heap_[parent];
-    if (!before(p.time, p.order, q.time, q.order)) break;
-    place(i, q);
+    if (!before(p, heap_[parent])) break;
+    place(i, heap_[parent]);
     i = parent;
   }
   place(i, p);
@@ -270,16 +255,11 @@ void RingReplay::sift_down(std::size_t i) {
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    const std::size_t last = std::min(first + 4, n);
     std::size_t child = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      const bool earlier = before(heap_[c].time, heap_[c].order,
-                                  heap_[child].time, heap_[child].order);
-      child = earlier ? c : child;
+    for (std::size_t c = first + 1; c < std::min(first + 4, n); ++c) {
+      if (before(heap_[c], heap_[child])) child = c;
     }
-    if (!before(heap_[child].time, heap_[child].order, p.time, p.order)) {
-      break;
-    }
+    if (!before(heap_[child], p)) break;
     place(i, heap_[child]);
     i = child;
   }
@@ -287,7 +267,7 @@ void RingReplay::sift_down(std::size_t i) {
 }
 
 void RingReplay::pop_top() {
-  slot_[static_cast<std::size_t>(heap_.front().rank())] = -1;
+  slot_[static_cast<std::size_t>(heap_.front().rank)] = -1;
   const Pending last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {

@@ -87,21 +87,11 @@ class RingReplay {
   };
 
   // A rank's pending event, keyed (time, seq) like the engine's ready heap.
-  // `order` packs the engine seq above the rank id: seqs are unique, so
-  // comparing `order` compares seqs, and an entry stays 16 bytes (four
-  // siblings of the 4-ary heap share a cache line).
-  static constexpr int kRankBits = 20;
   struct Pending {
     double time = 0.0;
-    std::uint64_t order = 0;
-    [[nodiscard]] std::uint64_t seq() const noexcept {
-      return order >> kRankBits;
-    }
-    [[nodiscard]] int rank() const noexcept {
-      return static_cast<int>(order & ((std::uint64_t{1} << kRankBits) - 1));
-    }
+    std::uint64_t seq = 0;
+    int rank = 0;
   };
-  [[nodiscard]] Pending pending(const Rank& r, double time);
 
   // Parks `self` (rank `me`) until its collective ends, driving the replay
   // whenever the engine picks it as the holder.
@@ -134,6 +124,7 @@ class RingReplay {
     while (x >= n_) x -= n_;
     return x;
   }
+  static bool before(const Pending& a, const Pending& b) noexcept;
   void place(std::size_t i, const Pending& p) noexcept;
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
