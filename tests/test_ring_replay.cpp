@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "faults/faults.hpp"
@@ -310,6 +311,32 @@ TEST(RingReplay, RejectsPayloads) {
     net.bind(eps[static_cast<std::size_t>(r)], p);
   }
   EXPECT_THROW(engine.run(), std::exception);
+}
+
+TEST(RingReplay, MissingRankDeadlocksLoudly) {
+  // Rank 2 never joins: the others park in the replay with nothing left to
+  // run, and the engine reports the deadlock (then unwinds the parked
+  // fibers) instead of hanging.
+  runtime::SimEngine engine;
+  Network net(engine, ClusterSpec{});
+  std::vector<int> eps;
+  for (int r = 0; r < 3; ++r) eps.push_back(net.add_endpoint(r));
+  RingReplay rr(net, eps);
+  for (int r = 0; r < 3; ++r) {
+    runtime::Process& p =
+        engine.spawn("r" + std::to_string(r), [&, r](runtime::Process& self) {
+          if (r == 2) return;
+          ring_allreduce(self, Communicator{&net, eps, r, &rr}, {}, 3000, 10);
+        });
+    net.bind(eps[static_cast<std::size_t>(r)], p);
+  }
+  try {
+    engine.run();
+    FAIL() << "a ring with a missing rank completed";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
