@@ -12,7 +12,8 @@
 #   scripts/check.sh faults          # fault-injection smoke: the ctest
 #                                    # labels `faults` and `reliable`
 #                                    # (tests/test_faults,
-#                                    # tests/test_reliable) plus a dtrain
+#                                    # tests/test_reliable, the profiled
+#                                    # reliable golden) plus a dtrain
 #                                    # checkpoint-recovery run, under
 #                                    # AddressSanitizer, then
 #                                    # ThreadSanitizer
@@ -60,7 +61,8 @@ if [[ "$SANITIZER" == "faults" ]]; then
   for SAN in address thread; do
     DIR="build-$SAN"
     cmake -B "$DIR" -S . "-DDT_SANITIZE=$SAN"
-    cmake --build "$DIR" -j "$(nproc)" --target test_faults test_reliable dtrain
+    cmake --build "$DIR" -j "$(nproc)" --target test_faults test_reliable test_golden \
+      dtrain
     ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L 'faults|reliable'
     # End-to-end checkpoint recovery (RecoveryMode::checkpoint): a worker
     # crash restored from a periodic CRC-checked snapshot, sanitized.

@@ -5,7 +5,8 @@
 // pins the fault-free AR-SGD ring so the elastic-membership machinery can
 // never perturb a healthy run. The <algo>_faults and <algo>_reliable
 // fixtures pin every PS protocol under worker crashes and over the
-// reliable transport with a PS failover.
+// reliable transport with a PS failover; ssp_reliable_profiled adds the
+// critical-path report of such a run.
 //
 // Regenerating (deliberate behaviour changes only):
 //   DT_GOLDEN_CAPTURE=1 ./test_golden   # rewrites tests/golden/ in place
@@ -98,9 +99,11 @@ std::string stem_of(Algo algo, const std::string& suffix) {
 
 /// Reruns the fixture configuration (4 workers, functional workload,
 /// seeds 23/7 — exactly what captured tests/golden/) and compares against
-/// the named fixture pair; with DT_GOLDEN_CAPTURE set, rewrites it.
+/// the named fixture pair; with DT_GOLDEN_CAPTURE set, rewrites it. With
+/// `profiled` the run also profiles, and its critical-path report is
+/// pinned as a third file.
 void expect_matches_golden(Algo algo, Fixture fixture,
-                           const std::string& stem) {
+                           const std::string& stem, bool profiled = false) {
   const std::string jsonl = "/tmp/dtrainlib_golden_" + stem + ".jsonl";
   TrainConfig cfg = golden_config(algo);
   if (fixture == Fixture::faults) {
@@ -123,8 +126,14 @@ void expect_matches_golden(Algo algo, Fixture fixture,
     cfg.faults.msg.reorder_window = 0.002;
   }
   cfg.metrics_jsonl = jsonl;
+  cfg.profile = profiled;
   Workload wl = golden_workload();
   auto result = run_training(cfg, wl);
+  std::string report;
+  if (profiled) {
+    EXPECT_TRUE(result.profile);
+    if (result.profile) report = profile::format_report(*result.profile);
+  }
 
   const std::string dir = DT_GOLDEN_DIR;
   std::ostringstream meta;
@@ -138,6 +147,9 @@ void expect_matches_golden(Algo algo, Fixture fixture,
     std::ofstream(dir + "/" + stem + ".jsonl", std::ios::binary)
         << slurp(jsonl);
     std::ofstream(dir + "/" + stem + ".meta", std::ios::binary) << meta.str();
+    if (profiled) {
+      std::ofstream(dir + "/" + stem + ".report", std::ios::binary) << report;
+    }
     std::remove(jsonl.c_str());
     return;
   }
@@ -145,6 +157,10 @@ void expect_matches_golden(Algo algo, Fixture fixture,
       << "metrics JSONL deviates from the fixture";
   EXPECT_EQ(meta.str(), slurp(dir + "/" + stem + ".meta"))
       << "final params or virtual duration deviate from the fixture";
+  if (profiled) {
+    EXPECT_EQ(report, slurp(dir + "/" + stem + ".report"))
+        << "critical-path report deviates from the fixture";
+  }
   std::remove(jsonl.c_str());
 }
 
@@ -183,6 +199,14 @@ TEST(Golden, CentralizedReliableRunsAreByteIdenticalToFixtures) {
     expect_matches_golden(algo, Fixture::reliable,
                           stem_of(algo, "_reliable"));
   }
+}
+
+TEST(Golden, ReliableProfiledSspRunIsByteIdenticalToFixture) {
+  // The critical-path walk over a lossy run's retransmits, acks,
+  // duplicates and the shard-0 failover edges. Labelled `reliable`, so the
+  // sanitized fault smoke (scripts/check.sh faults) runs it too.
+  expect_matches_golden(Algo::ssp, Fixture::reliable, "ssp_reliable_profiled",
+                        /*profiled=*/true);
 }
 
 /// One cost-only AR-SGD fixture: the metrics JSONL and the virtual duration
