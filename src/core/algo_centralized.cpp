@@ -14,6 +14,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,8 +214,8 @@ double ps_roundtrip_estimate(const Session& s, int rank) {
 // Session::reliable_mode(). Each protocol below is written once against it.
 //
 // On the plain network the seam is the degenerate case: a push is a
-// fire-and-forget Network::send (it counts as acked and never throws
-// TimeoutError), receives block with no deadline polls, and the shard loop
+// fire-and-forget Network::send (it counts as acked and never times out),
+// receives block with no deadline polls, and the shard loop
 // is serve() with no backup and no crash. Round ids (Packet.d), dedup,
 // mirroring and failover are then no-ops. On the reliable transport
 // (message faults and/or replicate_ps) every exchange rides
@@ -254,13 +255,8 @@ class PsLink {
       return;
     }
     std::int64_t seq = -1;
-    for (;;) {
-      try {
-        rel_->send(self, src_ep, dst_ep, pkt, &seq);
-        return;
-      } catch (const net::TimeoutError&) {
-        if (to_rank >= 0 && s_->member_departed(to_rank, self.now())) return;
-      }
+    while (!rel_->send(self, src_ep, dst_ep, pkt, &seq)) {
+      if (to_rank >= 0 && s_->member_departed(to_rank, self.now())) return;
     }
   }
 
@@ -295,22 +291,18 @@ class PsLink {
     }
     std::int64_t seq = -1;
     int route = s.ps_route(shard);
-    for (;;) {
-      try {
-        rel_->send(self, wep, route, pkt, &seq);
-        return true;
-      } catch (const net::TimeoutError&) {
-        if (abandon && abandon(shard)) return false;
-        if (s.ps_primary_down(shard)) {
-          s.fail_over(self, shard);
-          const int next = s.ps_route(shard);
-          if (next != route) {
-            route = next;
-            seq = -1;
-          }
+    while (!rel_->send(self, wep, route, pkt, &seq)) {
+      if (abandon && abandon(shard)) return false;
+      if (s.ps_primary_down(shard)) {
+        s.fail_over(self, shard);
+        const int next = s.ps_route(shard);
+        if (next != route) {
+          route = next;
+          seq = -1;
         }
       }
     }
+    return true;
   }
 
   /// Collects one exchange round's kTagParams replies, one per slot,
@@ -351,16 +343,9 @@ class PsLink {
     std::vector<char> repushed(static_cast<std::size_t>(s.num_shards()), 0);
     const double poll = rel_->config().max_timeout;
     while (remaining > 0) {
-      try {
-        Packet pkt =
-            rel_->recv_deadline(self, wep, kTagParams, self.now() + poll);
-        if (pkt.d != round) continue;  // stale round
-        const auto slot = static_cast<std::size_t>(pkt.b);
-        if (got[slot] != 0) continue;  // duplicate reply
-        got[slot] = 1;
-        --remaining;
-        deliver(pkt);
-      } catch (const net::TimeoutError&) {
+      std::optional<Packet> pkt =
+          rel_->recv_deadline(self, wep, kTagParams, self.now() + poll);
+      if (!pkt.has_value()) {  // the poll expired
         for (std::size_t slot = 0; slot < n_slots; ++slot) {
           if (got[slot] != 0) continue;
           const int shard = s.plan.shard_of(slot);
@@ -371,7 +356,14 @@ class PsLink {
           done = 1;
           repush(shard, got);
         }
+        continue;
       }
+      if (pkt->d != round) continue;  // stale round
+      const auto slot = static_cast<std::size_t>(pkt->b);
+      if (got[slot] != 0) continue;  // duplicate reply
+      got[slot] = 1;
+      --remaining;
+      deliver(*pkt);
     }
     return true;
   }
@@ -516,13 +508,10 @@ class PsLink {
       serve_one(pkt, true);
     }
     while (self.now() < pc->at) {
-      Packet pkt;
-      try {
-        pkt = rel_->recv_deadline(self, end.ep, net::kAnyTag, pc->at);
-      } catch (const net::TimeoutError&) {
-        break;
-      }
-      serve_one(pkt, true);
+      std::optional<Packet> pkt =
+          rel_->recv_deadline(self, end.ep, net::kAnyTag, pc->at);
+      if (!pkt.has_value()) break;
+      serve_one(*pkt, true);
     }
     s.mark_ps_down(self, end.shard);
     rel_->set_deaf(end.ep);

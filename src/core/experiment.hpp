@@ -74,7 +74,7 @@
 //   timeout = 0.05            ; initial retransmit timeout (vseconds)
 //   backoff = 2.0             ; exponential backoff factor
 //   max_timeout = 1.0         ; backoff cap (vseconds)
-//   max_retransmits = 10      ; budget before a typed TimeoutError
+//   max_retransmits = 10      ; per-send budget before a timeout
 //   replicate_ps = false      ; primary-backup PS shards + failover
 //   local_step_budget = 0     ; ASP local steps while a primary is down
 //

@@ -17,8 +17,9 @@
 // per-OS-thread structure. All fibers of an engine share one OS thread, so
 // this state is saved and restored at every context switch — otherwise an
 // exception unwinding in one fiber (ProcessKilled through a destructor, a
-// TimeoutError retry loop) would corrupt `std::uncaught_exceptions` and the
-// caught-exception stack seen by the others. Mirror of the ABI struct; the
+// catch block that blocks in virtual time) would corrupt
+// `std::uncaught_exceptions` and the caught-exception stack seen by the
+// others. Mirror of the ABI struct; the
 // layout is fixed by the Itanium C++ ABI.
 namespace __cxxabiv1 {
 struct __cxa_eh_globals {

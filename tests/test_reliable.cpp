@@ -77,7 +77,7 @@ TEST(ReliableTransport, ExactlyOnceInOrderUnderLossDupReorder) {
       p.tag = 1;
       p.c = i;
       p.wire_bytes = 1000;
-      rt.send(self, a, b, std::move(p));
+      EXPECT_TRUE(rt.send(self, a, b, std::move(p)));
     }
   });
   engine.run();
@@ -114,7 +114,7 @@ TEST(ReliableTransport, BidirectionalSendsDoNotDeadlock) {
         p.tag = 2;
         p.c = i;
         p.wire_bytes = 500;
-        rt.send(self, self_ep, other_ep, std::move(p));
+        EXPECT_TRUE(rt.send(self, self_ep, other_ep, std::move(p)));
       }
       for (int i = 0; i < kN; ++i) {
         EXPECT_EQ(rt.recv(self, self_ep).c, i);
@@ -122,11 +122,10 @@ TEST(ReliableTransport, BidirectionalSendsDoNotDeadlock) {
       }
       // Linger servicing the endpoint: the ack of our last delivery may
       // have been lost, and the peer's retransmission needs a re-ack.
-      try {
-        (void)rt.recv_deadline(self, self_ep, net::kAnyTag, self.now() + 1.0);
-        ADD_FAILURE() << "unexpected fresh delivery while lingering";
-      } catch (const net::TimeoutError&) {
-      }
+      EXPECT_FALSE(
+          rt.recv_deadline(self, self_ep, net::kAnyTag, self.now() + 1.0)
+              .has_value())
+          << "unexpected fresh delivery while lingering";
     };
   };
   engine.spawn("peer_a", peer(a, b, &got_a));
@@ -140,7 +139,7 @@ TEST(ReliableTransport, BackoffScheduleMatchesHandComputedVirtualTimes) {
   // Dead peer, send_overhead = 0: attempt k happens after waits
   // w_k = min(timeout * backoff^k, max_timeout). With timeout = 0.1,
   // backoff = 2, max_timeout = 0.4, max_retransmits = 3 the waits are
-  // 0.1, 0.2, 0.4, 0.4 and the TimeoutError fires at exactly 1.1.
+  // 0.1, 0.2, 0.4, 0.4 and send returns false at exactly 1.1.
   runtime::SimEngine engine;
   net::Network netw(engine, lossy_spec());
   metrics::MetricRegistry registry;
@@ -158,44 +157,35 @@ TEST(ReliableTransport, BackoffScheduleMatchesHandComputedVirtualTimes) {
   engine.spawn("dead", [&](runtime::Process& self) {
     netw.bind(b, self);  // never receives: all data sits unacked
   });
-  double threw_at = -1.0;
+  double failed_at = -1.0;
   engine.spawn("tx", [&](runtime::Process& self) {
     netw.bind(a, self);
     net::Packet p;
     p.tag = 1;
     p.wire_bytes = 1000;
-    try {
-      rt.send(self, a, b, std::move(p));
-      FAIL() << "send to a dead peer returned";
-    } catch (const net::TimeoutError&) {
-      threw_at = self.now();
-    }
+    EXPECT_FALSE(rt.send(self, a, b, std::move(p)))
+        << "send to a dead peer succeeded";
+    failed_at = self.now();
   });
   engine.run();
-  EXPECT_DOUBLE_EQ(threw_at, 0.1 + 0.2 + 0.4 + 0.4);
+  EXPECT_DOUBLE_EQ(failed_at, 0.1 + 0.2 + 0.4 + 0.4);
   EXPECT_EQ(registry.counter("net.retransmits_total").value(), 3.0);
 }
 
-TEST(ReliableTransport, RecvDeadlineThrowsTypedErrorAtDeadline) {
+TEST(ReliableTransport, RecvDeadlineReturnsEmptyAtDeadline) {
   runtime::SimEngine engine;
   net::Network netw(engine, lossy_spec());
   net::ReliableTransport rt(netw, net::ReliableConfig{});
   const int b = netw.add_endpoint(0, "rx");
-  double threw_at = -1.0;
-  std::string what;
+  double expired_at = -1.0;
   engine.spawn("rx", [&](runtime::Process& self) {
     netw.bind(b, self);
-    try {
-      (void)rt.recv_deadline(self, b, net::kAnyTag, 0.5);
-      FAIL() << "recv_deadline returned without traffic";
-    } catch (const net::TimeoutError& e) {
-      threw_at = self.now();
-      what = e.what();
-    }
+    EXPECT_FALSE(rt.recv_deadline(self, b, net::kAnyTag, 0.5).has_value())
+        << "recv_deadline delivered without traffic";
+    expired_at = self.now();
   });
   engine.run();
-  EXPECT_DOUBLE_EQ(threw_at, 0.5);
-  EXPECT_NE(what.find("recv deadline"), std::string::npos);
+  EXPECT_DOUBLE_EQ(expired_at, 0.5);
 }
 
 // ---------------------------------------------------------------------------
