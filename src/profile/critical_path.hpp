@@ -105,6 +105,22 @@ struct RunProfile {
   }
 };
 
+/// One slice of the backward walk: `seconds` of class `cls` charged to
+/// worker `rank` (-1: none) in round context `round`.
+struct PathSlice {
+  CostClass cls;
+  int rank;
+  std::int64_t round;
+  double seconds;
+};
+
+/// The global critical path that analyze() aggregates: its slices from the
+/// end of the run backward, starting at the last-finishing worker. Their
+/// seconds sum to `makespan`.
+[[nodiscard]] std::vector<PathSlice> critical_path(const SpanLog& log,
+                                                   double makespan,
+                                                   int num_workers);
+
 /// Runs the backward critical-path walk over `log`. `makespan` is the run's
 /// end-of-run virtual clock; `iterations_per_epoch` (0 = unknown) is used
 /// only to report per-epoch figures.

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/trainer.hpp"
 #include "profile/critical_path.hpp"
@@ -118,6 +119,82 @@ TEST(CriticalPath, PsDwellIsChargedToPsClass) {
   EXPECT_DOUBLE_EQ(p.critical.get(CostClass::comm), 0.4);
   EXPECT_DOUBLE_EQ(p.critical.get(CostClass::wait), 0.0);
   EXPECT_DOUBLE_EQ(p.whatif_no_ps, 0.3);
+}
+
+/// Field-by-field comparison of a walk's slices (seconds exact: every
+/// fixture time is a dyadic fraction or a difference of equal decimals).
+void expect_path(const std::vector<PathSlice>& got,
+                 const std::vector<PathSlice>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("slice " + std::to_string(i));
+    EXPECT_EQ(got[i].cls, want[i].cls);
+    EXPECT_EQ(got[i].rank, want[i].rank);
+    EXPECT_EQ(got[i].round, want[i].round);
+    EXPECT_DOUBLE_EQ(got[i].seconds, want[i].seconds);
+  }
+}
+
+TEST(CriticalPath, EqualArrivalsTakeTheLaterCapturedEdge) {
+  // Two messages reach worker0 at 1.5: worker1's (captured first) and
+  // worker2's (captured second). A third, from worker1 at 1.25, is
+  // captured last, so the inbound list is not in arrival order. The walk
+  // must cross worker2's message: the last-enqueued edge at a tied
+  // arrival is the enabling one.
+  SpanLog log;
+  log.register_endpoint(0, "worker0", 0, 0);
+  log.register_endpoint(1, "worker1", 1, 1);
+  log.register_endpoint(2, "worker2", 2, 2);
+  log.on_phase(1, 1, 0, 0.0, 1.0);
+  log.on_phase(2, 2, 0, 0.0, 0.75);
+  log.on_edge(1, 0, 64, 1.0, 1.5, true);
+  log.on_edge(2, 0, 64, 0.75, 1.5, true);
+  log.on_edge(1, 0, 64, 1.0, 1.25, true);
+  log.on_phase(0, 3, 0, 1.5, 2.0);
+
+  expect_path(critical_path(log, 2.0, 3),
+              {{CostClass::compute, 0, 3, 0.5},
+               {CostClass::comm, 2, 3, 0.75},
+               {CostClass::compute, 2, 2, 0.75}});
+}
+
+TEST(CriticalPath, NestedBusySpansChargeTheInnermostFirst) {
+  // worker0's compute [0, 2] (round 4) encloses a local aggregation
+  // [1, 2] (round 5) and a compute [0.5, 1.5] (round 6), captured last.
+  // At 2 both the enclosing span and the aggregation cover t; the
+  // innermost (latest start) is charged. At 1 the [0.5, 1.5] compute is
+  // the innermost covering span, and the enclosing one is found again at
+  // its own start 0.5.
+  SpanLog log;
+  log.register_endpoint(0, "worker0", 0, 0);
+  log.on_phase(0, 4, 0, 0.0, 2.0);
+  log.on_phase(0, 5, 1, 1.0, 2.0);
+  log.on_phase(0, 6, 0, 0.5, 1.5);
+
+  expect_path(critical_path(log, 2.0, 1),
+              {{CostClass::local_agg, 0, 5, 1.0},
+               {CostClass::compute, 0, 6, 0.5},
+               {CostClass::compute, 0, 4, 0.5}});
+}
+
+TEST(CriticalPath, WalkEndingOnAnArrivalCrossesItAtOnce) {
+  // The run ends at 2.0, exactly when the PS reply reaches worker0: an
+  // arrival at t counts as before t, so nothing is charged to waiting and
+  // the walk crosses the reply (sent 1.5) into the PS, whose dwell since
+  // the request arrived (1.25) is `ps`, then the request's transit, then
+  // worker0's compute [0, 1] (round 0).
+  SpanLog log;
+  log.register_endpoint(0, "worker0", 0, 0);
+  log.register_endpoint(1, "ps0", 1, -1);
+  log.on_phase(0, 0, 0, 0.0, 1.0);
+  log.on_edge(0, 1, 64, 1.0, 1.25, true);
+  log.on_edge(1, 0, 64, 1.5, 2.0, true);
+
+  expect_path(critical_path(log, 2.0, 1),
+              {{CostClass::comm, -1, 0, 0.5},
+               {CostClass::ps, -1, 0, 0.25},
+               {CostClass::comm, 0, 0, 0.25},
+               {CostClass::compute, 0, 0, 1.0}});
 }
 
 TEST(CriticalPath, ReportSharesSumToHundredPercent) {
