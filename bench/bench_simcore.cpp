@@ -20,15 +20,17 @@
 //                      when events/sec lands below F (CI regression gate;
 //                      the floor lives in .github/simcore-floor.txt).
 //
-// Output: an aligned table plus BENCH_simcore.json (--json= to relocate),
+// Output: an aligned table, plus with --json=PATH a JSON file at PATH —
 // the artifact the CI bench job uploads to track simulator performance
-// over time.
+// over time. Without --json= nothing is written, so a run from the repo
+// root leaves the committed BENCH_simcore.json alone.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/session.hpp"
@@ -95,12 +97,46 @@ CaseResult run_case(const std::string& name, dt::core::Algo algo, int workers,
   return cr;
 }
 
+/// Writes the cases and their overall events/sec to `path`; false (after
+/// a message on stderr) when the file cannot be written.
+bool write_json(const std::string& path,
+                const std::vector<CaseResult>& results) {
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  out << "{\"bench\":\"simcore\",\"cases\":[";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const CaseResult& r = results[i];
+    if (i) out << ",";
+    out << "{\"name\":\"" << r.name << "\",\"virtual_s\":" << r.virtual_s
+        << ",\"wall_s\":" << r.wall_s << ",\"events\":" << r.events
+        << ",\"wakes\":" << r.wakes << ",\"peak_ready\":" << r.peak_ready
+        << ",\"processes\":" << r.processes << ",\"packets\":" << r.packets
+        << ",\"events_per_sec\":" << r.events_per_sec()
+        << ",\"ns_per_event\":" << r.ns_per_event()
+        << ",\"peak_rss_kb\":" << r.peak_rss_kb << "}";
+  }
+  double total_events = 0.0, total_wall = 0.0;
+  for (const CaseResult& r : results) {
+    total_events += static_cast<double>(r.events);
+    total_wall += r.wall_s;
+  }
+  const double overall =
+      total_wall > 0.0 ? total_events / total_wall : 0.0;
+  out << "],\"events_per_sec\":" << overall << "}\n";
+  out.flush();
+  std::cout << "engine self-metrics written to " << path << "\n";
+  return out.good();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dt;
   auto args = bench::BenchArgs::parse(argc, argv, 0.0, 60);
-  std::string json_path = "BENCH_simcore.json";
+  std::string json_path;  // empty: no JSON
   int scale_max = 0;   // 0 = no scalability sweep
   int ci_workers = 0;  // 0 = no CI gate case
   double floor_eps = 0.0;
@@ -171,34 +207,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
 
-  std::ofstream out(json_path);
-  if (!out.good()) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  out << "{\"bench\":\"simcore\",\"cases\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    if (i) out << ",";
-    out << "{\"name\":\"" << r.name << "\",\"virtual_s\":" << r.virtual_s
-        << ",\"wall_s\":" << r.wall_s << ",\"events\":" << r.events
-        << ",\"wakes\":" << r.wakes << ",\"peak_ready\":" << r.peak_ready
-        << ",\"processes\":" << r.processes << ",\"packets\":" << r.packets
-        << ",\"events_per_sec\":" << r.events_per_sec()
-        << ",\"ns_per_event\":" << r.ns_per_event()
-        << ",\"peak_rss_kb\":" << r.peak_rss_kb << "}";
-  }
-  double total_events = 0.0, total_wall = 0.0;
-  for (const CaseResult& r : results) {
-    total_events += static_cast<double>(r.events);
-    total_wall += r.wall_s;
-  }
-  const double overall =
-      total_wall > 0.0 ? total_events / total_wall : 0.0;
-  out << "],\"events_per_sec\":" << overall << "}\n";
-  out.flush();
-  std::cout << "engine self-metrics written to " << json_path << "\n";
-  if (!out.good()) return 1;
+  if (!json_path.empty() && !write_json(json_path, results)) return 1;
 
   if (ci_workers > 0 && floor_eps > 0.0) {
     const double gate = results.front().events_per_sec();
