@@ -3,10 +3,13 @@
 // duration — across engine rewrites. The BSP pair was captured from the
 // seed build (linear-scan scheduler, by-value packet payloads); arsgd_seed
 // pins the fault-free AR-SGD ring so the elastic-membership machinery can
-// never perturb a healthy run. The <algo>_faults and <algo>_reliable
-// fixtures pin every PS protocol under worker crashes and over the
-// reliable transport with a PS failover; ssp_reliable_profiled adds the
-// critical-path report of such a run.
+// never perturb a healthy run, and dpsgd_seed / dpsgd_faults do the same
+// for D-PSGD, fault-free and under a stall-mode crash. arsgd_drop and
+// dpsgd_drop pin the elastic ring (sync_policy = drop): view changes,
+// aborted rounds, epoch flushes and the rejoin. The <algo>_faults and
+// <algo>_reliable fixtures pin every PS protocol under worker crashes and
+// over the reliable transport with a PS failover; ssp_reliable_profiled
+// adds the critical-path report of such a run.
 //
 // Regenerating (deliberate behaviour changes only):
 //   DT_GOLDEN_CAPTURE=1 ./test_golden   # rewrites tests/golden/ in place
@@ -61,6 +64,8 @@ std::uint64_t param_hash(Workload& wl, int workers) {
 enum class Fixture {
   clean,     // no faults
   faults,    // rank 1 straggles 2x, rank 2 crashes at 0.5 s for 0.4 s
+  drop,      // `faults` under sync_policy = drop (ring repair), with the
+             // failure detector scaled to the no-fault duration
   reliable,  // 5% loss, 5% dup, 10% reorder, replicate_ps, and a shard-0
              // primary crash at 0.4x the no-fault replicated duration
 };
@@ -106,7 +111,17 @@ void expect_matches_golden(Algo algo, Fixture fixture,
                            const std::string& stem, bool profiled = false) {
   const std::string jsonl = "/tmp/dtrainlib_golden_" + stem + ".jsonl";
   TrainConfig cfg = golden_config(algo);
-  if (fixture == Fixture::faults) {
+  if (fixture == Fixture::drop) {
+    // Detector constants as a fraction of the no-fault duration d, the
+    // scaling the ring-repair suite (test_membership) uses.
+    Workload probe_wl = golden_workload();
+    const double d = run_training(cfg, probe_wl).virtual_duration;
+    cfg.membership.period_s = 0.01 * d;
+    cfg.membership.timeout_s = 0.05 * d;
+    cfg.membership.confirm_s = 0.02 * d;
+    cfg.faults.sync_policy = faults::SyncPolicy::drop;
+  }
+  if (fixture == Fixture::faults || fixture == Fixture::drop) {
     cfg.faults.slow_ranks.push_back({1, 2.0});
     faults::Crash c;
     c.rank = 2;
@@ -178,6 +193,26 @@ TEST(Golden, ArsgdRunIsByteIdenticalToFixture) {
   // Fault-free ring allreduce: pins the legacy (non-elastic) AR-SGD path
   // so membership/ring-repair changes can never shift a healthy run.
   expect_matches_golden(Algo::arsgd, Fixture::clean, "arsgd_seed");
+}
+
+TEST(Golden, DpsgdRunIsByteIdenticalToFixture) {
+  expect_matches_golden(Algo::dpsgd, Fixture::clean, "dpsgd_seed");
+}
+
+TEST(Golden, DpsgdStallCrashRunIsByteIdenticalToFixture) {
+  // Stall-mode crash: neighbors block on the down rank, which recovers
+  // from a peer replica and re-sends.
+  expect_matches_golden(Algo::dpsgd, Fixture::faults, "dpsgd_faults");
+}
+
+TEST(Golden, ArsgdDropRunIsByteIdenticalToFixture) {
+  // Elastic ring repair. Labelled `membership`, so the sanitized
+  // membership smoke (scripts/check.sh membership) runs it too.
+  expect_matches_golden(Algo::arsgd, Fixture::drop, "arsgd_drop");
+}
+
+TEST(Golden, DpsgdDropRunIsByteIdenticalToFixture) {
+  expect_matches_golden(Algo::dpsgd, Fixture::drop, "dpsgd_drop");
 }
 
 TEST(Golden, CentralizedFaultRunsAreByteIdenticalToFixtures) {
