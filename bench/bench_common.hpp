@@ -13,13 +13,18 @@
 //   --cache=<dir>       campaign result cache (campaign benches; ""=off)
 //   --timing-json=<path> write runner-thread A/B wall-clock timings (JSON)
 //   --quick             quarter-length run for smoke testing
+// A bench that parses flags of its own names them to BenchArgs::parse, which
+// then skips them instead of warning "unknown argument".
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -38,8 +43,11 @@ struct BenchArgs {
   std::string cache = "dt-campaign-cache";
   std::string timing_json;
 
+  /// `own_flags` are the bench's own flags: one ending in '=' matches any
+  /// argument it prefixes, any other only itself.
   static BenchArgs parse(int argc, char** argv, double default_epochs,
-                         std::int64_t default_iters) {
+                         std::int64_t default_iters,
+                         std::initializer_list<std::string_view> own_flags = {}) {
     BenchArgs args;
     args.epochs = default_epochs;
     args.iters = default_iters;
@@ -67,7 +75,11 @@ struct BenchArgs {
         args.timing_json = *v;
       } else if (a == "--quick") {
         args.quick = true;
-      } else {
+      } else if (std::none_of(own_flags.begin(), own_flags.end(),
+                              [&a](std::string_view f) {
+                                return f.ends_with('=') ? a.starts_with(f)
+                                                        : a == f;
+                              })) {
         std::cerr << "unknown argument: " << a << "\n";
       }
     }

@@ -135,7 +135,8 @@ bool write_json(const std::string& path,
 
 int main(int argc, char** argv) {
   using namespace dt;
-  auto args = bench::BenchArgs::parse(argc, argv, 0.0, 60);
+  auto args = bench::BenchArgs::parse(
+      argc, argv, 0.0, 60, {"--json=", "--scale", "--scale=", "--ci=", "--floor="});
   std::string json_path;  // empty: no JSON
   int scale_max = 0;   // 0 = no scalability sweep
   int ci_workers = 0;  // 0 = no CI gate case

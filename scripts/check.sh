@@ -24,7 +24,8 @@
 #                                    # Release build
 #   scripts/check.sh membership      # membership smoke: the ctest label
 #                                    # `membership` (tests/test_membership
-#                                    # — failure detector + ring repair)
+#                                    # — failure detector + ring repair —
+#                                    # and the two ring-repair goldens)
 #                                    # plus the ring-repair campaign
 #                                    # (AR-SGD/D-PSGD x stall/drop x
 #                                    # clean/lossy links around a
@@ -86,13 +87,15 @@ if [[ "$SANITIZER" == "dssp" ]]; then
 fi
 
 if [[ "$SANITIZER" == "membership" ]]; then
-  # Membership smoke: the failure-detector + ring-repair suite, then the
+  # Membership smoke: the failure-detector + ring-repair suite and the
+  # arsgd_drop / dpsgd_drop goldens, then the
   # committed ring-repair campaign end to end — every cell takes a
   # crash-with-rejoin, and the drop cells abort/flush/re-form the ring —
   # all under AddressSanitizer (shares build-address/ with `address`).
   DIR=build-address
   cmake -B "$DIR" -S . -DDT_SANITIZE=address
-  cmake --build "$DIR" -j "$(nproc)" --target test_membership dtrain
+  cmake --build "$DIR" -j "$(nproc)" --target test_membership test_golden \
+    dtrain
   ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L membership
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' EXIT

@@ -24,11 +24,14 @@ Session::Session(TrainConfig config, Workload& workload)
   validate_fsdp();
 }
 
+bool Session::ring_repair_active() const {
+  return (cfg.algo == Algo::arsgd || cfg.algo == Algo::dpsgd) &&
+         fault_plan.sync_policy() == faults::SyncPolicy::drop &&
+         fault_plan.has_crashes();
+}
+
 void Session::build_membership() {
-  const bool ring_drop =
-      (cfg.algo == Algo::arsgd || cfg.algo == Algo::dpsgd) &&
-      fault_plan.sync_policy() == faults::SyncPolicy::drop &&
-      fault_plan.has_crashes();
+  const bool ring_drop = ring_repair_active();
   if (!cfg.membership.enabled && !ring_drop) return;
   // explicit_join only where the view drives ring repair: a ring rejoiner
   // must finish its state pull before it is placed back into a collective.
@@ -38,11 +41,7 @@ void Session::build_membership() {
 }
 
 void Session::validate_membership() const {
-  const bool ring_drop =
-      (cfg.algo == Algo::arsgd || cfg.algo == Algo::dpsgd) &&
-      fault_plan.sync_policy() == faults::SyncPolicy::drop &&
-      fault_plan.has_crashes();
-  if (!ring_drop) return;
+  if (!ring_repair_active()) return;
   common::check(cfg.num_workers >= 3,
                 "Session: sync_policy=drop on a ring algorithm needs at "
                 "least 3 workers (a 2-ring cannot shrink)");

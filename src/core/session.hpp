@@ -177,6 +177,10 @@ class Session {
   [[nodiscard]] bool membership_engaged() const noexcept {
     return oracle_ != nullptr;
   }
+  /// True when a ring algorithm (AR-SGD / D-PSGD) runs ring repair:
+  /// sync_policy=drop with crashes scheduled. The ring then follows the
+  /// oracle's views; otherwise its view is static (all ranks, epoch 0).
+  [[nodiscard]] bool ring_repair_active() const;
   /// The failure-detector oracle (membership_engaged() only).
   [[nodiscard]] membership::MembershipOracle& oracle() { return *oracle_; }
 

@@ -152,7 +152,6 @@ double Workload::backward_slot_time(std::size_t slot) const {
 double Workload::compute_gradients(int w) {
   check_functional();
   WorkerState& state = worker(w);
-  state.model.set_training(true);  // evaluate() may have flipped eval mode
   auto batch = state.batches->next();
   state.model.zero_grad();
   const Tensor& logits = state.model.forward(batch.inputs);
@@ -261,7 +260,6 @@ namespace {
 
 double accuracy_on(nn::Sequential& model, const data::Dataset& test,
                    std::int64_t batch) {
-  model.set_training(false);
   nn::SoftmaxCrossEntropy loss;
   std::int64_t correct = 0;
   std::vector<std::int64_t> rows;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,6 +36,23 @@ struct Communicator {
   }
 };
 
+/// One attempt of an elastic collective round under membership view
+/// `epoch` (ring repair). Receives poll in `poll_s` slices and give up once
+/// `abort` holds (a new view was published); every packet carries `epoch`
+/// in Packet.c so stale traffic aliasing the epoch's tag pair is discarded.
+struct EpochRound {
+  std::int64_t epoch = 0;
+  double poll_s = 0.0;
+  std::function<bool()> abort;
+};
+
+/// Receives the next packet on `tag` at `endpoint`. Without `round` this
+/// is a blocking Network::recv. With it, returns nullopt once
+/// `round->abort()` holds and skips packets of other epochs.
+std::optional<Packet> recv_in_round(runtime::Process& self, Network& net,
+                                    int endpoint, int tag,
+                                    const EpochRound* round);
+
 /// In-place sum-AllReduce of `data` across all ranks of `comm`.
 /// `total_wire_bytes` is the modeled size of the full buffer (what a rank
 /// would send if it pushed everything at once); each ring step transfers
@@ -43,9 +61,17 @@ struct Communicator {
 /// collective uses tags [tag_base, tag_base + 2). With `comm.replay` set,
 /// `data` must be empty and the collective is replayed without packets —
 /// same schedule, traffic and observability, bit for bit.
-void ring_allreduce(runtime::Process& self, const Communicator& comm,
+///
+/// With `round` (elastic membership), every member of view `round->epoch`
+/// calls this with a Communicator over the view's live set (ranks
+/// renumbered 0..k-1 in view order); `tag_base` is then a tag region and
+/// the collective uses the epoch's pair, epoch_tag_base(tag_base, epoch).
+/// Returns false when the round aborted: `data` then holds partial sums,
+/// and callers retry from a pristine copy of their contribution under the
+/// new view. Returns true when the collective completed.
+bool ring_allreduce(runtime::Process& self, const Communicator& comm,
                     std::span<float> data, std::uint64_t total_wire_bytes,
-                    int tag_base);
+                    int tag_base, const EpochRound* round = nullptr);
 
 /// Rendezvous of all ranks (centralized gather-release on rank 0).
 void barrier(runtime::Process& self, const Communicator& comm, int tag_base);
@@ -63,31 +89,6 @@ inline constexpr int kEpochTagSpan = 16;
                                         std::int64_t epoch) noexcept {
   return tag_region + 2 * static_cast<int>(epoch % kEpochTagSpan);
 }
-
-/// Outcome of an elastic collective round.
-struct ElasticStatus {
-  /// True when the collective ran to completion over the epoch's ring.
-  /// False when `abort` fired mid-round (a new view was published): the
-  /// data buffer then holds partial sums — callers must retry the round
-  /// from a pristine copy of their contribution under the new view.
-  bool completed = false;
-};
-
-/// View-aware variant of ring_allreduce for elastic membership: every
-/// member of view `epoch` calls this with the same epoch and a Communicator
-/// built over the view's live set (ranks renumbered 0..k-1 in view order).
-/// Receives poll with `poll_s` granularity and consult `abort` between
-/// polls, so a survivor abandons the round as soon as a new view is
-/// published instead of blocking forever on a dead peer. Packets whose
-/// Packet.c differs from `epoch` are discarded (stale traffic from aborted
-/// rounds that aliases the tag pair modulo kEpochTagSpan).
-ElasticStatus ring_allreduce_elastic(runtime::Process& self,
-                                     const Communicator& comm,
-                                     std::span<float> data,
-                                     std::uint64_t total_wire_bytes,
-                                     int tag_region, std::int64_t epoch,
-                                     double poll_s,
-                                     const std::function<bool()>& abort);
 
 /// Drains (without blocking) every already-delivered packet parked on the
 /// elastic tags of `tag_region` EXCEPT the current epoch's pair — the

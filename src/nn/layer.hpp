@@ -44,10 +44,6 @@ class Layer {
   /// Randomizes parameters (He initialization where applicable).
   virtual void init(common::Rng& /*rng*/) {}
 
-  /// Switches train/eval behaviour (BatchNorm statistics, Dropout).
-  /// Stateless layers ignore it.
-  virtual void set_training(bool /*training*/) {}
-
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

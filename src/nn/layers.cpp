@@ -199,146 +199,6 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
   return grad_in_;
 }
 
-// ---- BatchNorm1d -------------------------------------------------------------
-
-BatchNorm1d::BatchNorm1d(std::string name, std::int64_t features, float eps,
-                         float momentum)
-    : name_(std::move(name)),
-      features_(features),
-      eps_(eps),
-      momentum_(momentum),
-      gamma_(name_ + ".gamma", {features}),
-      beta_(name_ + ".beta", {features}),
-      running_mean_(static_cast<std::size_t>(features), 0.0f),
-      running_var_(static_cast<std::size_t>(features), 1.0f) {}
-
-void BatchNorm1d::init(common::Rng& /*rng*/) {
-  gamma_.value.fill(1.0f);
-  beta_.value.fill(0.0f);
-  std::fill(running_mean_.begin(), running_mean_.end(), 0.0f);
-  std::fill(running_var_.begin(), running_var_.end(), 1.0f);
-}
-
-const Tensor& BatchNorm1d::forward(const Tensor& input) {
-  if (input.rank() != 2 || input.dim(1) != features_) [[unlikely]] {
-    common::fail("BatchNorm1d(" + name_ + "): bad input shape");
-  }
-  const std::int64_t m = input.dim(0);
-  output_.ensure_shape(input.shape());
-  xhat_.ensure_shape(input.shape());
-  inv_std_.assign(static_cast<std::size_t>(features_), 0.0f);
-
-  for (std::int64_t f = 0; f < features_; ++f) {
-    double mean, var;
-    if (training_) {
-      double sum = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) sum += input.at(i, f);
-      mean = sum / static_cast<double>(m);
-      double sq = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const double d = input.at(i, f) - mean;
-        sq += d * d;
-      }
-      var = sq / static_cast<double>(m);
-      auto& rm = running_mean_[static_cast<std::size_t>(f)];
-      auto& rv = running_var_[static_cast<std::size_t>(f)];
-      rm = (1.0f - momentum_) * rm + momentum_ * static_cast<float>(mean);
-      rv = (1.0f - momentum_) * rv + momentum_ * static_cast<float>(var);
-    } else {
-      mean = running_mean_[static_cast<std::size_t>(f)];
-      var = running_var_[static_cast<std::size_t>(f)];
-    }
-    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-    inv_std_[static_cast<std::size_t>(f)] = inv;
-    const float g = gamma_.value[static_cast<std::size_t>(f)];
-    const float b = beta_.value[static_cast<std::size_t>(f)];
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float xh = (input.at(i, f) - static_cast<float>(mean)) * inv;
-      xhat_.at(i, f) = xh;
-      output_.at(i, f) = g * xh + b;
-    }
-  }
-  return output_;
-}
-
-const Tensor& BatchNorm1d::backward(const Tensor& grad_output) {
-  if (grad_output.shape() != output_.shape()) [[unlikely]] {
-    common::fail("BatchNorm1d(" + name_ + "): bad grad shape");
-  }
-  const std::int64_t m = grad_output.dim(0);
-  grad_in_.ensure_shape(grad_output.shape());
-  const auto mf = static_cast<float>(m);
-
-  for (std::int64_t f = 0; f < features_; ++f) {
-    const float g = gamma_.value[static_cast<std::size_t>(f)];
-    const float inv = inv_std_[static_cast<std::size_t>(f)];
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float dy = grad_output.at(i, f);
-      sum_dy += dy;
-      sum_dy_xhat += dy * xhat_.at(i, f);
-    }
-    gamma_.grad[static_cast<std::size_t>(f)] +=
-        static_cast<float>(sum_dy_xhat);
-    beta_.grad[static_cast<std::size_t>(f)] += static_cast<float>(sum_dy);
-
-    if (training_) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float dy = grad_output.at(i, f);
-        grad_in_.at(i, f) =
-            g * inv / mf *
-            (mf * dy - static_cast<float>(sum_dy) -
-             xhat_.at(i, f) * static_cast<float>(sum_dy_xhat));
-      }
-    } else {
-      // Eval mode: running statistics are constants.
-      for (std::int64_t i = 0; i < m; ++i) {
-        grad_in_.at(i, f) = grad_output.at(i, f) * g * inv;
-      }
-    }
-  }
-  return grad_in_;
-}
-
-// ---- Dropout -----------------------------------------------------------------
-
-Dropout::Dropout(std::string name, float p) : name_(std::move(name)), p_(p) {
-  common::check(p_ >= 0.0f && p_ < 1.0f, "Dropout: p must be in [0, 1)");
-}
-
-void Dropout::init(common::Rng& rng) {
-  // Consume generator state so sibling Dropout layers (which draw nothing
-  // else during init) still receive distinct mask streams.
-  rng_ = rng.fork(rng.next());
-}
-
-const Tensor& Dropout::forward(const Tensor& input) {
-  output_ = input;
-  if (!training_ || p_ == 0.0f) {
-    mask_.assign(static_cast<std::size_t>(input.numel()), 1.0f);
-    return output_;
-  }
-  const float keep_scale = 1.0f / (1.0f - p_);
-  mask_.resize(static_cast<std::size_t>(input.numel()));
-  auto out = output_.data();
-  for (std::size_t i = 0; i < mask_.size(); ++i) {
-    mask_[i] = rng_.bernoulli(p_) ? 0.0f : keep_scale;
-    out[i] *= mask_[i];
-  }
-  return output_;
-}
-
-const Tensor& Dropout::backward(const Tensor& grad_output) {
-  if (grad_output.numel() != static_cast<std::int64_t>(mask_.size()))
-      [[unlikely]] {
-    common::fail("Dropout(" + name_ + "): bad grad shape");
-  }
-  grad_in_ = grad_output;
-  auto g = grad_in_.data();
-  for (std::size_t i = 0; i < mask_.size(); ++i) g[i] *= mask_[i];
-  return grad_in_;
-}
-
 // ---- MaxPool2d ---------------------------------------------------------------
 
 const Tensor& MaxPool2d::forward(const Tensor& input) {

@@ -83,67 +83,6 @@ class Conv2d final : public Layer {
   std::int64_t h_ = 0, w_ = 0, oh_ = 0, ow_ = 0, batch_ = 0;
 };
 
-/// Batch normalization over the feature dimension of [batch, features]
-/// inputs. Training mode normalizes by batch statistics and maintains
-/// exponential running averages; eval mode uses the running averages.
-class BatchNorm1d final : public Layer {
- public:
-  BatchNorm1d(std::string name, std::int64_t features, float eps = 1e-5f,
-              float momentum = 0.1f);
-
-  const tensor::Tensor& forward(const tensor::Tensor& input) override;
-  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
-  std::vector<ParamSlot*> params() override { return {&gamma_, &beta_}; }
-  void init(common::Rng& rng) override;
-  void set_training(bool training) override { training_ = training; }
-  [[nodiscard]] std::string name() const override { return name_; }
-
-  [[nodiscard]] std::span<const float> running_mean() const {
-    return running_mean_;
-  }
-  [[nodiscard]] std::span<const float> running_var() const {
-    return running_var_;
-  }
-
- private:
-  std::string name_;
-  std::int64_t features_;
-  float eps_;
-  float momentum_;
-  bool training_ = true;
-  ParamSlot gamma_;
-  ParamSlot beta_;
-  std::vector<float> running_mean_;
-  std::vector<float> running_var_;
-  // Saved forward state for backward (training mode).
-  tensor::Tensor xhat_;
-  std::vector<float> inv_std_;
-  tensor::Tensor output_;
-  tensor::Tensor grad_in_;
-};
-
-/// Inverted dropout: training zeroes activations with probability p and
-/// scales survivors by 1/(1-p); eval is the identity.
-class Dropout final : public Layer {
- public:
-  explicit Dropout(std::string name, float p = 0.5f);
-
-  const tensor::Tensor& forward(const tensor::Tensor& input) override;
-  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
-  void init(common::Rng& rng) override;
-  void set_training(bool training) override { training_ = training; }
-  [[nodiscard]] std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-  float p_;
-  bool training_ = true;
-  common::Rng rng_{0xD0};
-  std::vector<float> mask_;  // 0 or 1/(1-p) per element of the last forward
-  tensor::Tensor output_;
-  tensor::Tensor grad_in_;
-};
-
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::string name = "maxpool") : name_(std::move(name)) {}

@@ -9,10 +9,6 @@ void Sequential::init(common::Rng& rng) {
   for (auto& layer : layers_) layer->init(rng);
 }
 
-void Sequential::set_training(bool training) {
-  for (auto& layer : layers_) layer->set_training(training);
-}
-
 const tensor::Tensor& Sequential::forward(const tensor::Tensor& input) {
   common::check(!layers_.empty(), "Sequential::forward on empty model");
   const tensor::Tensor* x = &input;

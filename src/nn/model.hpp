@@ -40,9 +40,6 @@ class Sequential {
   /// Randomizes every layer's parameters.
   void init(common::Rng& rng);
 
-  /// Propagates train/eval mode to every layer (BatchNorm, Dropout).
-  void set_training(bool training);
-
   const tensor::Tensor& forward(const tensor::Tensor& input);
 
   /// Backpropagates dL/d(output); parameter gradients accumulate in slots.

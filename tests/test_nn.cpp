@@ -307,138 +307,6 @@ TEST(Sequential, BackwardHookFiresPerParamLayerInReverse) {
   EXPECT_EQ(firsts, (std::vector<std::size_t>{2, 0}));
 }
 
-TEST(BatchNorm1d, NormalizesTrainingBatch) {
-  BatchNorm1d bn("bn", 3);
-  common::Rng rng(9);
-  bn.init(rng);
-  Tensor x({8, 3});
-  tensor::fill_normal(x, rng, 5.0f);
-  const Tensor& y = bn.forward(x);
-  for (int f = 0; f < 3; ++f) {
-    double mean = 0, var = 0;
-    for (int i = 0; i < 8; ++i) mean += y.at(i, f);
-    mean /= 8;
-    for (int i = 0; i < 8; ++i) {
-      var += (y.at(i, f) - mean) * (y.at(i, f) - mean);
-    }
-    var /= 8;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(BatchNorm1d, GradCheckTrainMode) {
-  common::Rng rng(10);
-  BatchNorm1d bn("bn", 4);
-  Tensor x({6, 4});
-  tensor::fill_normal(x, rng, 1.0f);
-  grad_check_layer(bn, x, /*tolerance=*/5e-2f);
-}
-
-TEST(BatchNorm1d, EvalUsesRunningStatistics) {
-  BatchNorm1d bn("bn", 2, 1e-5f, /*momentum=*/1.0f);  // running = last batch
-  common::Rng rng(11);
-  bn.init(rng);
-  Tensor x({4, 2}, {1, 10, 3, 10, 5, 10, 7, 10});
-  bn.forward(x);  // train pass sets running stats to this batch's stats
-  bn.set_training(false);
-  Tensor z({1, 2}, {4.0f, 10.0f});  // feature 0 mean is 4
-  const Tensor& y = bn.forward(z);
-  EXPECT_NEAR(y.at(0, 0), 0.0f, 1e-3);
-  EXPECT_NEAR(y.at(0, 1), 0.0f, 1e-2);  // constant feature -> mean
-}
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout drop("d", 0.5f);
-  drop.set_training(false);
-  Tensor x({2, 4});
-  x.fill(3.0f);
-  const Tensor& y = drop.forward(x);
-  for (float v : y.data()) EXPECT_EQ(v, 3.0f);
-}
-
-TEST(Dropout, TrainModeDropsAtConfiguredRateAndPreservesMean) {
-  Dropout drop("d", 0.25f);
-  common::Rng rng(12);
-  drop.init(rng);
-  Tensor x({100, 100});
-  x.fill(1.0f);
-  const Tensor& y = drop.forward(x);
-  int zeros = 0;
-  double sum = 0.0;
-  for (float v : y.data()) {
-    if (v == 0.0f) ++zeros;
-    sum += v;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.25, 0.02);
-  // Inverted dropout keeps the expectation.
-  EXPECT_NEAR(sum / y.numel(), 1.0, 0.03);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout drop("d", 0.5f);
-  common::Rng rng(13);
-  drop.init(rng);
-  Tensor x({1, 64});
-  x.fill(1.0f);
-  const Tensor y = drop.forward(x);
-  Tensor gout({1, 64});
-  gout.fill(1.0f);
-  Tensor gin = drop.backward(gout);
-  for (std::int64_t i = 0; i < 64; ++i) {
-    // grad passes exactly where the activation passed, with the same scale.
-    EXPECT_EQ(gin[static_cast<std::size_t>(i)],
-              y[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(Dropout, SiblingLayersDrawIndependentMasks) {
-  Sequential m;
-  auto& d1 = m.add<Dropout>("d1", 0.5f);
-  auto& d2 = m.add<Dropout>("d2", 0.5f);
-  common::Rng rng(57);
-  m.init(rng);
-  Tensor x({1, 256});
-  x.fill(1.0f);
-  const Tensor y1 = d1.forward(x);
-  const Tensor y2 = d2.forward(x);
-  int same = 0;
-  for (std::int64_t i = 0; i < 256; ++i) {
-    if ((y1[static_cast<std::size_t>(i)] == 0.0f) ==
-        (y2[static_cast<std::size_t>(i)] == 0.0f)) {
-      ++same;
-    }
-  }
-  // Independent 0.5 masks agree ~50% of the time, not ~100%.
-  EXPECT_LT(same, 180);
-}
-
-TEST(Dropout, InvalidProbabilityThrows) {
-  EXPECT_THROW(Dropout("d", 1.0f), common::Error);
-  EXPECT_THROW(Dropout("d", -0.1f), common::Error);
-}
-
-TEST(Sequential, SetTrainingPropagates) {
-  Sequential m;
-  m.add<Dense>("fc", 4, 8);
-  auto& bn = m.add<BatchNorm1d>("bn", 8);
-  m.add<Dropout>("drop", 0.5f);
-  common::Rng rng(14);
-  m.init(rng);
-  m.set_training(false);
-  // In eval mode two forward passes are deterministic and identical
-  // (dropout off, BN running stats).
-  Tensor x({2, 4});
-  tensor::fill_normal(x, rng, 1.0f);
-  const Tensor y1 = m.forward(x);
-  const Tensor y2 = m.forward(x);
-  for (std::int64_t i = 0; i < y1.numel(); ++i) {
-    EXPECT_EQ(y1[static_cast<std::size_t>(i)],
-              y2[static_cast<std::size_t>(i)]);
-  }
-  (void)bn;
-}
-
 TEST(Training, SingleWorkerLearnsGaussianMixture) {
   common::Rng rng(21);
   data::GaussianMixtureSpec spec;
@@ -549,22 +417,6 @@ TEST(Conv2d, ForwardMatchesDirectConvolution) {
       }
     }
   }
-}
-
-TEST(BatchNorm1d, RunningStatsConvergeToDistribution) {
-  // Feed many batches from N(3, 2^2); running stats approach (3, 4).
-  BatchNorm1d bn("bn", 1, 1e-5f, 0.05f);
-  common::Rng rng(56);
-  bn.init(rng);
-  for (int step = 0; step < 400; ++step) {
-    Tensor x({64, 1});
-    for (auto& v : x.data()) {
-      v = static_cast<float>(rng.normal(3.0, 2.0));
-    }
-    bn.forward(x);
-  }
-  EXPECT_NEAR(bn.running_mean()[0], 3.0f, 0.25f);
-  EXPECT_NEAR(bn.running_var()[0], 4.0f, 0.6f);
 }
 
 TEST(Serialize, CheckpointRoundTrip) {
